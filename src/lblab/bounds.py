@@ -144,6 +144,13 @@ def fsm_rate_envelope(kappa: float, n: int, k, prefactor: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
+def rlm_rate_envelope(lam: float, n: int, k):
+    """(1/2)(n lam/2)^2 ((sqrt(2/(lam n)+1) - 1)/(sqrt(2/(lam n)+1) + 1))**(2k/n)."""
+    root = math.sqrt(2 / (lam * n) + 1)
+    ratio = (root - 1) / (root + 1)
+    return 0.5 * (n * lam / 2) ** 2 * ratio ** (2 * np.asarray(k) / n)
+
+
 def iteration_lb_from_rate(L: float, mu: float, alpha: float, c: float, eps: float) -> float:
     """Minimal k implied by eps >= c * ratio**k:
     (1/2) sqrt((L+alpha)/(mu+alpha) - 1) * (ln c + ln(1/eps)), clamped at 0."""

@@ -14,7 +14,8 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,6 +70,11 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             _apply(cfg, key, val, where="command line")
+    for key in ("n", "d", "grid_points", "seeds"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    if cfg.iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {cfg.iterations}")
     return cfg
 
 
@@ -91,13 +97,17 @@ def _apply(cfg, key, val, where=""):
 
 
 def worker_count() -> int:
+    """Envelope pool size: LBLAB_THREADS, else 1.  Batched schedule steps
+    hold the interpreter lock, so on 2 cores a second worker made the fsm
+    envelope about 10% slower and its run-to-run spread about twice as wide.
+    """
     env = os.environ.get("LBLAB_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"LBLAB_THREADS must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 def write_csv(path, header_cols, rows, cfg_hash, units=""):
@@ -215,30 +225,68 @@ def fsm_scalar_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(-half, half, cfg.grid_points)
 
 
+class Family(NamedTuple):
+    grid: Callable      # cfg -> parameters of the worst-case search
+    instance: Callable  # (cfg, parameter) -> instance
+    envelope: Optional[Callable] = None  # (cfg, oracle calls) -> lower-bound envelope
+
+
+FAMILIES = {
+    "fsm": Family(
+        fsm_scalar_grid,
+        lambda cfg, eta: instances.fsm_instance(np.full(cfg.n, eta), cfg.L, cfg.mu, cfg.R, cfg.d),
+        lambda cfg, k: bounds.fsm_rate_envelope(cfg.kappa, cfg.n, k, envelope_prefactor(cfg))),
+    "toy": Family(
+        lambda cfg: np.linspace(cfg.mu, cfg.L, cfg.grid_points),
+        lambda cfg, eta: instances.toy_instance(eta, cfg.mu, cfg.L)),
+    "rlm": Family(
+        lambda cfg: np.linspace(-math.pi / 2, math.pi / 2, cfg.grid_points),
+        lambda cfg, psi: instances.rlm_instance(np.full(cfg.n // 2, psi), cfg.lam, cfg.n),
+        lambda cfg, k: bounds.rlm_rate_envelope(cfg.lam, cfg.n, k)),
+}
+
+
+def _schedule(cfg: ExperimentConfig, name: str, family: str):
+    """The named schedule, checked against the oracle family it will run on."""
+    try:
+        sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, n=cfg.n)
+        optimizers.check_family(sched, family == "rlm")
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return sched
+
+
+def _instance(cfg: ExperimentConfig, family: str, param):
+    try:
+        return FAMILIES[family].instance(cfg, param)
+    except ValueError as e:
+        raise ConfigError(f"{family} instance: {e}") from e
+
+
+def _grid_and_factory(cfg: ExperimentConfig):
+    """cfg.family's parameter grid and instance factory.  The instance at the
+    first grid point is built here, so that bad input fails before any run."""
+    if cfg.family not in FAMILIES:
+        raise ConfigError(f"family {cfg.family!r} has no instance grid")
+    grid = FAMILIES[cfg.family].grid(cfg)
+    _instance(cfg, cfg.family, grid[0])
+    return grid, lambda param: _instance(cfg, cfg.family, param)
+
+
 def envelope_curves(cfg: ExperimentConfig):
     """Worst-case Monte-Carlo curves and the analytic envelope per optimizer."""
-    if cfg.family == "fsm":
-        grid = fsm_scalar_grid(cfg)
-        def factory(eta):
-            return instances.fsm_instance(np.full(cfg.n, eta), cfg.L, cfg.mu, cfg.R, cfg.d)
-        env = bounds.fsm_rate_envelope(cfg.kappa, cfg.n, np.arange(cfg.iterations + 1),
-                                       envelope_prefactor(cfg))
-    elif cfg.family == "rlm":
-        grid = np.linspace(-math.pi / 2, math.pi / 2, cfg.grid_points)
-        def factory(psi):
-            return instances.rlm_instance(np.full(cfg.n // 2, psi), cfg.lam, cfg.n)
-        ratio = (math.sqrt(2 / (cfg.lam * cfg.n) + 1) - 1) / (math.sqrt(2 / (cfg.lam * cfg.n) + 1) + 1)
-        env = 0.5 * (cfg.n * cfg.lam / 2) ** 2 * ratio ** (2 * np.arange(cfg.iterations + 1) / cfg.n)
-    else:
+    if cfg.family not in FAMILIES or FAMILIES[cfg.family].envelope is None:
         raise ConfigError(f"no envelope family {cfg.family!r}")
+    grid, factory = _grid_and_factory(cfg)
+    schedules = [_schedule(cfg, name, cfg.family) for name in cfg.optimizers]
+    env = FAMILIES[cfg.family].envelope(cfg, np.arange(cfg.iterations + 1))
 
-    def one(name):
-        sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, n=cfg.n, d=cfg.d)
-        return name, optimizers.expected_error_curve(sched, factory, grid,
-                                                     cfg.iterations, cfg.seeds)
+    def one(sched):
+        return sched.name, optimizers.expected_error_curve(sched, factory, grid,
+                                                           cfg.iterations, cfg.seeds)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = dict(pool.map(one, cfg.optimizers))
+        results = dict(pool.map(one, schedules))
     return results, env
 
 
@@ -325,21 +373,8 @@ def cmd_fig2(cfg: ExperimentConfig, out_csv=None, out_svg=None):
 
 
 def cmd_run(cfg: ExperimentConfig, opt: str, out=None):
-    if cfg.family == "fsm":
-        grid = fsm_scalar_grid(cfg)
-        def factory(eta):
-            return instances.fsm_instance(np.full(cfg.n, eta), cfg.L, cfg.mu, cfg.R, cfg.d)
-    elif cfg.family == "toy":
-        grid = np.linspace(cfg.mu, cfg.L, cfg.grid_points)
-        def factory(eta):
-            return instances.toy_instance(eta, cfg.mu, cfg.L)
-    elif cfg.family == "rlm":
-        grid = np.linspace(-math.pi / 2, math.pi / 2, cfg.grid_points)
-        def factory(psi):
-            return instances.rlm_instance(np.full(cfg.n // 2, psi), cfg.lam, cfg.n)
-    else:
-        raise ConfigError(f"cmd_run does not support family {cfg.family!r}")
-    sched = optimizers.make_optimizer(opt, L=cfg.L, mu=cfg.mu, n=cfg.n, d=cfg.d)
+    grid, factory = _grid_and_factory(cfg)
+    sched = _schedule(cfg, opt, cfg.family)
     curve = optimizers.expected_error_curve(sched, factory, grid, cfg.iterations, cfg.seeds)
     rows = [[int(k), float(curve.worst_mean[k]), float(curve.stderr[k]),
              float(curve.worst_param[k])] for k in curve.k]
@@ -348,8 +383,12 @@ def cmd_run(cfg: ExperimentConfig, opt: str, out=None):
 
 
 def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0, out=None):
-    sched = optimizers.make_optimizer(opt, L=cfg.L, mu=cfg.mu, n=cfg.n, d=cfg.d)
     fam = cfg.family
+    if fam not in trace.FAMILIES:
+        raise ConfigError(f"no symbolic engine for family {fam!r}")
+    sched = _schedule(cfg, opt, fam)
+    if not sched.oblivious:
+        raise ConfigError(f"{opt} is not oblivious, so it has no trace")
     kwargs = dict(n=cfg.n, d=cfg.d, L=cfg.L, mu=cfg.mu, R=cfg.R, lam=cfg.lam)
     if fam == "toy":
         kwargs.update(n=1, d=1)
@@ -367,40 +406,14 @@ def cmd_sampling_compare(cfg: ExperimentConfig, out=None):
     """With- vs without-replacement component sampling for SAG on the fsm
     family; reported, not asserted."""
     eta = (cfg.L - cfg.mu) / 2
-    inst = instances.fsm_instance(np.full(cfg.n, -eta), cfg.L, cfg.mu, cfg.R, cfg.d)
-    sched = optimizers.make_optimizer("sag", L=cfg.L, mu=cfg.mu, n=cfg.n, d=cfg.d)
+    inst = _instance(cfg, "fsm", -eta)
+    sched = _schedule(cfg, "sag", "fsm")
     with_rep = optimizers.batched_curves(sched, inst, cfg.iterations, cfg.seeds).mean(axis=0)
-    without = _sag_without_replacement(inst, cfg).mean(axis=0)
+    without = optimizers.batched_curves(sched, inst, cfg.iterations, cfg.seeds,
+                                        replacement=False).mean(axis=0)
     rows = [[k, float(with_rep[k]), float(without[k])] for k in range(cfg.iterations + 1)]
     return write_csv(out, ["k", "with_replacement", "without_replacement"], rows,
                      cfg.hash(), units="suboptimality per oracle call")
-
-
-def _sag_without_replacement(inst, cfg):
-    n, d = inst.n, inst.d
-    gamma = 1.0 / (16 * cfg.L)
-    bf = optimizers._BatchedFsm(inst)
-    errs = np.empty((cfg.seeds, cfg.iterations + 1))
-    perms = np.empty((cfg.seeds, cfg.iterations), dtype=np.int64)
-    for s in range(cfg.seeds):
-        rng = optimizers.make_rng(s)
-        order = []
-        while len(order) < cfg.iterations:
-            order.extend(rng.permutation(n))
-        perms[s] = order[: cfg.iterations]
-    W = np.zeros((cfg.seeds, d))
-    table = np.zeros((cfg.seeds, n, d))
-    gsum = np.zeros((cfg.seeds, d))
-    srange = np.arange(cfg.seeds)
-    errs[:, 0] = bf.values(W) - inst.optimal_value
-    for c in range(cfg.iterations):
-        jv = perms[:, c]
-        g = bf.comp_grad(jv, W)
-        gsum += g - table[srange, jv]
-        table[srange, jv] = g
-        W = W - (gamma / n) * gsum
-        errs[:, c + 1] = bf.values(W) - inst.optimal_value
-    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +503,7 @@ def verify_all(corrupt=None, quick=True):
 
     def degree_lemma():
         for name in ("gd", "sgd", "cd_cyclic"):
-            sched = optimizers.make_optimizer(name, L=100.0, mu=1.0, n=3, d=4)
+            sched = optimizers.make_optimizer(name, L=100.0, mu=1.0, n=3)
             trace.trace_oblivious(sched, "fsm", 8, seed=0, n=3, d=4,
                                   L=100.0, mu=1.0, R=1.0)
 

@@ -9,23 +9,28 @@ schedule against a zeroed oracle to confirm the query stream is unchanged.
 L-BFGS is the one deliberate exception (declared non-oblivious): its
 two-loop direction and exact line search read the answers.
 
-`run` records suboptimality per oracle call (call 0 = initialization), which
-is the x-axis the lower-bound envelopes are stated in.  For stochastic
-schedules, `expected_error_curve` averages over seeds with a batched fast
-path that reproduces the per-seed scalar runs exactly.
+Each schedule is defined once, as the step closures `make_optimizer`
+returns.  They reach index draws, component tables and the mean gradient
+only through engine operations, so the same closures run on the scalar
+engines (`run`), the symbolic engines (`trace.trace_oblivious`) and the
+batched engines below (`batched_curves`), whose points hold one row per
+seed.  `run` and `batched_curves` share one loop that records
+suboptimality per oracle call (call 0 = initialization), the x-axis the
+lower-bound envelopes are stated in.  `expected_error_curve` averages the
+batched curves over seeds.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import Block2Diag, QuadraticInstance, RlmInstance
-from .oracles import (CallLog, DualExactCD, DualGradStep, DualNumericEngine,
-                      FirstOrder, NumericEngine, SteepestCD, answer)
+from .oracles import (CallLog, DualExactCD, DualNumericEngine, FirstOrder,
+                      NumericEngine, SteepestCD, answer)
 
 OPTIMIZER_NAMES = ("gd", "agd", "hb", "sgd", "sag", "saga", "svrg", "sdca",
                    "sdca_primal", "cd_cyclic", "cd_random", "lbfgs")
@@ -64,44 +69,28 @@ class RunRecord:
         return len(self.errors) - 1
 
 
-def _full_grad_combine(w, a, b, n, ask):
-    """n first-order calls realizing w_new = b*w + a*mean gradient."""
-    acc = None
-    for j in range(n):
-        ans = ask(w, FirstOrder(a / n, b / n, j))
-        acc = ans if acc is None else acc + ans
-    return acc
-
-
-def _mean_raw_grad(w, n, ask):
-    acc = None
-    for j in range(n):
-        ans = ask(w, FirstOrder(1.0 / n, 0.0, j))
-        acc = ans if acc is None else acc + ans
-    return acc
-
-
-def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
-                   epoch=None, memory=100) -> Schedule:
+def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
+                   memory=100) -> Schedule:
     """Build a named Schedule.
 
     Steps default to the standard constants: gd/agd 1/L, hb Polyak's
     4/(sqrt L + sqrt mu)^2, sag 1/(16L), saga 1/(3L), svrg 1/(10L) with
-    epoch length 2n, sgd 1/(2L).
+    epoch length 2n, sgd 1/(2L).  Component and coordinate counts are read
+    from the engine the schedule runs on.
     """
     if name not in OPTIMIZER_NAMES:
         raise ValueError(f"unknown optimizer {name!r}")
     if name not in ("sdca", "cd_cyclic", "cd_random") and L is None:
         raise ValueError(f"{name} requires L")
     kappa = (L / mu) if (L is not None and mu is not None) else None
-    params = {"L": L, "mu": mu, "n": n, "d": d}
+    params = {"L": L, "mu": mu, "n": n}
 
     if name == "gd":
         gamma = step if step is not None else 1.0 / L
         def init(engine, rng, p):
             return {"w": engine.zero()}
         def stp(state, k, rng, ask, engine, p):
-            state["w"] = _full_grad_combine(state["w"], -gamma, 1.0, engine.n, ask)
+            state["w"] = engine.mean_grad(state["w"], ask, -gamma, 1.0)
         return Schedule(name, True, 1, params, init, stp, stochastic=False)
 
     if name == "agd":
@@ -116,7 +105,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
             w, wp = state["w"], state["w_prev"]
             y = w * (1 + beta) - wp * beta
             state["w_prev"] = w
-            state["w"] = _full_grad_combine(y, -gamma, 1.0, engine.n, ask)
+            state["w"] = engine.mean_grad(y, ask, -gamma, 1.0)
         return Schedule(name, True, 2, params, init, stp, stochastic=False)
 
     if name == "hb":
@@ -130,7 +119,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
         def stp(state, k, rng, ask, engine, p):
             w, wp = state["w"], state["w_prev"]
             state["w_prev"] = w
-            state["w"] = _full_grad_combine(w, -alpha, 1.0 + beta, engine.n, ask) - wp * beta
+            state["w"] = engine.mean_grad(w, ask, -alpha, 1.0 + beta) - wp * beta
         return Schedule(name, True, 2, params, init, stp, stochastic=False)
 
     if name == "sgd":
@@ -138,36 +127,33 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
         def init(engine, rng, p):
             return {"w": engine.zero()}
         def stp(state, k, rng, ask, engine, p):
-            j = int(rng.integers(engine.n))
+            (j,) = engine.draw(rng, "n")
             state["w"] = ask(state["w"], FirstOrder(-gamma, 1.0, j))
         return Schedule(name, True, 1, params, init, stp)
 
     if name == "sag":
         gamma = step if step is not None else 1.0 / (16 * L)
         def init(engine, rng, p):
-            return {"w": engine.zero(),
-                    "table": [engine.zero() for _ in range(engine.n)],
-                    "gsum": engine.zero()}
+            return {"w": engine.zero(), "table": engine.table(), "gsum": engine.zero()}
         def stp(state, k, rng, ask, engine, p):
-            j = int(rng.integers(engine.n))
+            (j,) = engine.draw(rng, "n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
-            state["gsum"] = state["gsum"] + g - state["table"][j]
-            state["table"][j] = g
+            state["gsum"] = state["gsum"] + (g - engine.gather(state["table"], j))
+            engine.scatter(state["table"], j, g)
             state["w"] = state["w"] - state["gsum"] * (gamma / engine.n)
         return Schedule(name, True, 1, params, init, stp)
 
     if name == "saga":
         gamma = step if step is not None else 1.0 / (3 * L)
         def init(engine, rng, p):
-            return {"w": engine.zero(),
-                    "table": [engine.zero() for _ in range(engine.n)],
-                    "gsum": engine.zero()}
+            return {"w": engine.zero(), "table": engine.table(), "gsum": engine.zero()}
         def stp(state, k, rng, ask, engine, p):
-            j = int(rng.integers(engine.n))
+            (j,) = engine.draw(rng, "n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
-            upd = g - state["table"][j] + state["gsum"] * (1.0 / engine.n)
-            state["gsum"] = state["gsum"] + g - state["table"][j]
-            state["table"][j] = g
+            old = engine.gather(state["table"], j)
+            upd = g - old + state["gsum"] / engine.n
+            state["gsum"] = state["gsum"] + (g - old)
+            engine.scatter(state["table"], j, g)
             state["w"] = state["w"] - upd * gamma
         return Schedule(name, True, 1, params, init, stp)
 
@@ -182,11 +168,11 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
         def stp(state, k, rng, ask, engine, p):
             if state["need_snapshot"]:
                 state["snapshot"] = state["w"]
-                state["snap_grad"] = _mean_raw_grad(state["snapshot"], engine.n, ask)
+                state["snap_grad"] = engine.mean_grad(state["snapshot"], ask)
                 state["inner"] = 0
                 state["need_snapshot"] = False
                 return
-            j = int(rng.integers(engine.n))
+            (j,) = engine.draw(rng, "n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
             gt = ask(state["snapshot"], FirstOrder(1.0, 0.0, j))
             state["w"] = state["w"] - (g - gt + state["snap_grad"]) * gamma
@@ -199,7 +185,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
         def init(engine, rng, p):
             return {"w": engine.zero()}
         def stp(state, k, rng, ask, engine, p):
-            j = int(rng.integers(engine.n))
+            (j,) = engine.draw(rng, "n")
             state["w"] = ask(state["w"], DualExactCD(j))
         return Schedule(name, True, 1, params, init, stp)
 
@@ -209,29 +195,26 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
             raise ValueError("sdca_primal requires L and mu")
         eta = step if step is not None else min(1.0 / (4 * L), 1.0 / (mu * max(n, 1)))
         def init(engine, rng, p):
-            return {"w": engine.zero(),
-                    "table": [engine.zero() for _ in range(engine.n)]}
+            return {"w": engine.zero(), "table": engine.table()}
         def stp(state, k, rng, ask, engine, p):
-            j = int(rng.integers(engine.n))
+            (j,) = engine.draw(rng, "n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
-            v = g + state["table"][j]
-            state["table"][j] = state["table"][j] - v * (eta * mu * engine.n)
+            old = engine.gather(state["table"], j)
+            v = g + old
+            engine.scatter(state["table"], j, old - v * (eta * mu * engine.n))
             state["w"] = state["w"] - v * eta
         return Schedule(name, True, 1, params, init, stp)
 
     if name in ("cd_cyclic", "cd_random"):
-        if d is None:
-            raise ValueError(f"{name} requires d")
         cyclic = name == "cd_cyclic"
         def init(engine, rng, p):
             return {"w": engine.zero()}
         def stp(state, k, rng, ask, engine, p):
             if cyclic:
-                i = (k // engine.n) % d
+                i = (k // engine.n) % engine.d
                 j = k % engine.n
             else:
-                i = int(rng.integers(d))
-                j = int(rng.integers(engine.n))
+                i, j = engine.draw(rng, "d", "n")
             state["w"] = ask(state["w"], SteepestCD(i, j))
         return Schedule(name, True, 1, params, init, stp, stochastic=not cyclic)
 
@@ -241,7 +224,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
         def stp(state, k, rng, ask, engine, p):
             w = state["w"]
             if state["g"] is None:
-                state["g"] = _mean_raw_grad(w, engine.n, ask)
+                state["g"] = engine.mean_grad(w, ask)
                 return
             g = state["g"]
             q = g.copy()
@@ -257,7 +240,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, d=None, step=None,
                 b = float(y @ q) / float(s @ y)
                 q = q + (a - b) * s
             pdir = -q
-            gp = _mean_raw_grad(w + pdir, engine.n, ask)
+            gp = engine.mean_grad(w + pdir, ask)
             qd = gp - g  # = (mean Hessian) @ pdir, exact for quadratics
             curv = float(pdir @ qd)
             if curv <= 0:
@@ -282,8 +265,12 @@ def _make_engine(instance):
     return NumericEngine(instance)
 
 
-def _suboptimality(instance, w) -> float:
-    return instance.suboptimality(w)
+def check_family(schedule: Schedule, dual: bool):
+    """Raise ValueError unless the schedule asks the dual coordinate oracles
+    exactly when the instance family is the dual one."""
+    if dual != (schedule.name in DUAL_NAMES):
+        kind = "dual" if dual else "primal"
+        raise ValueError(f"{schedule.name} does not run on the {kind} oracle family")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -291,54 +278,62 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _drive(schedule: Schedule, engine, rng, ask, calls, suboptimality, errors):
+    """Step `schedule` until `errors` holds one suboptimality per oracle call.
+
+    `errors` has shape (iterations+1,) or (seeds, iterations+1); `calls()`
+    counts the oracle calls made so far and `suboptimality` maps the tracked
+    point to one error (or one per seed).  Multi-call steps (full gradients,
+    snapshots) update the tracked point only when the step completes;
+    intermediate call indices repeat the previous error.  A run whose steps
+    stop calling the oracle (L-BFGS at an exact stationary point) is
+    flat-filled after 50 such steps.
+    """
+    cols = errors.T  # one row per call index
+    iterations = len(cols) - 1
+    state = schedule.init_state(engine, rng)
+    err = suboptimality(state["w"])
+    cols[0] = err
+    filled = k = stalls = 0
+    while filled < iterations:
+        before = calls()
+        schedule.step(state, k, rng, ask, engine)
+        k += 1
+        after = calls()
+        if after == before:
+            stalls += 1
+            if stalls > 50:
+                cols[filled + 1:] = err
+                filled = iterations
+            continue
+        stalls = 0
+        new_err = suboptimality(state["w"])
+        hi = min(after, iterations)
+        cols[filled + 1:hi] = err  # point unchanged until the step completed
+        if hi > filled:
+            cols[hi] = new_err if after <= iterations else err
+        err = new_err
+        filled = hi
+
+
 def run(schedule: Schedule, instance, iterations: int, seed: int = 0,
         record_queries: bool = False) -> RunRecord:
-    """Execute `iterations` oracle calls and record suboptimality per call.
-
-    Multi-call steps (full gradients, snapshots) update the tracked point
-    only when the step completes; intermediate call indices repeat the
-    previous error.
-    """
+    """Execute `iterations` oracle calls and record suboptimality per call;
+    a multi-call step repeats the previous error until it completes."""
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    if isinstance(instance, RlmInstance) != (schedule.name in DUAL_NAMES):
-        raise ValueError(f"{schedule.name} is incompatible with this instance's oracle family")
+    check_family(schedule, isinstance(instance, RlmInstance))
     engine = _make_engine(instance)
     log = CallLog()
     log.record_queries = record_queries
-    rng = make_rng(seed)
 
     def ask(point, query):
         return answer(engine, point, query, log)
 
     t0 = time.perf_counter()
-    state = schedule.init_state(engine, rng)
     errors = np.empty(iterations + 1)
-    err = _suboptimality(instance, state["w"])
-    errors[0] = err
-    filled = 0
-    k = 0
-    stalls = 0
-    while filled < iterations:
-        before = log.total
-        schedule.step(state, k, rng, ask, engine)
-        k += 1
-        after = log.total
-        if after == before:
-            # e.g. L-BFGS at an exact stationary point; flat-fill and stop
-            stalls += 1
-            if stalls > 50:
-                errors[filled + 1:] = err
-                filled = iterations
-            continue
-        stalls = 0
-        new_err = _suboptimality(instance, state["w"])
-        hi = min(after, iterations)
-        errors[filled + 1:hi] = err  # point unchanged until the step completed
-        if hi > filled:
-            errors[hi] = new_err if after <= iterations else err
-        err = new_err
-        filled = hi
+    _drive(schedule, engine, make_rng(seed), ask, lambda: log.total,
+           instance.suboptimality, errors)
     return RunRecord(schedule.name, seed, errors, log, time.perf_counter() - t0)
 
 
@@ -352,7 +347,6 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
     engine = _make_engine(instance)
     log = CallLog()
     log.record_queries = True
-    rng = make_rng(seed)
 
     def spoofed(point, query):
         answer(engine, point, query, CallLog())  # keep shapes honest
@@ -360,54 +354,98 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
         return engine.zero()
 
     try:
-        state = schedule.init_state(engine, rng)
-        k = 0
-        stalls = 0
-        while log.total < iterations and stalls <= 50:
-            before = log.total
-            schedule.step(state, k, rng, spoofed, engine)
-            stalls = stalls + 1 if log.total == before else 0
-            k += 1
+        _drive(schedule, engine, make_rng(seed), spoofed, lambda: log.total,
+               lambda w: 0.0, np.empty(iterations + 1))
     except Exception:
         return False
     return log.queries[:iterations] == real.log.queries[:iterations]
 
 
 # ---------------------------------------------------------------------------
-# Batched Monte-Carlo execution (matches the scalar path seed for seed)
+# Batched engines: the schedules' own closures over a batch of seeds
 
 
-def _draws_per_step(name: str):
-    # svrg draws one component index per inner step (none at snapshots);
-    # generating `iterations` draws up front over-provisions harmlessly
-    if name in ("sag", "saga", "sgd", "sdca", "sdca_primal", "svrg"):
-        return ("n",)
-    if name == "cd_random":
-        return ("d", "n")
-    return ()
+class _Batched:
+    """Engine operations over a batch of seeds.  Points are (seeds, d)
+    arrays whose row s is seed s's run, and a component index is a vector
+    with one entry per row.
+
+    Seed s draws its indices from `make_rng(s)`, exactly as `run(...,
+    seed=s)` does, but all at once: the first `draw` builds every seed's
+    stream for the kinds it is asked for, which a schedule asks for at every
+    step, and `iterations` draws suffice because each step that draws also
+    calls the oracle.  Without replacement, the components come in
+    consecutive random permutations of range(n).  `calls` counts oracle
+    calls per row.
+    """
+
+    def __init__(self, n, d, seeds, iterations, replacement):
+        self.n, self.d, self.seeds = n, d, seeds
+        self.rows = np.arange(seeds)
+        self.calls = 0
+        self._iterations, self._replacement = iterations, replacement
+        self._streams = None
+        self._next = 0
+
+    def _build_streams(self, kinds):
+        rngs = [make_rng(s) for s in range(self.seeds)]
+        if self._replacement:
+            bounds = np.array([self.n if kind == "n" else self.d for kind in kinds])
+            per_seed = [rng.integers(bounds, size=(self._iterations, len(kinds)))
+                        for rng in rngs]
+        elif kinds == ("n",):
+            blocks = -(-self._iterations // self.n)
+            per_seed = [np.concatenate([rng.permutation(self.n) for _ in range(blocks)])
+                        [:self._iterations, None] for rng in rngs]
+        else:
+            raise ValueError("sampling without replacement draws components only")
+        return np.stack(per_seed, axis=2)  # (draw, kind, seed)
+
+    def draw(self, rng, *kinds):
+        if self._streams is None:
+            self._streams = self._build_streams(kinds)
+        out = self._streams[self._next]
+        self._next += 1
+        return out
+
+    def zero(self):
+        return np.zeros((self.seeds, self.d))
+
+    def table(self):
+        return np.zeros((self.seeds, self.n, self.d))
+
+    def gather(self, table, j):
+        return table[self.rows, j]
+
+    def scatter(self, table, j, value):
+        table[self.rows, j] = value
+
+    def ask(self, point, query):
+        self.calls += 1
+        return self.answer(point, query)
 
 
-class _BatchedFsm:
-    """Vectorized component gradients over a seed batch for QuadraticInstance."""
+class BatchedEngine(_Batched):
+    """QuadraticInstance over a seed batch."""
 
-    def __init__(self, instance: QuadraticInstance):
-        self.inst = instance
+    def __init__(self, instance: QuadraticInstance, seeds, iterations, replacement=True):
+        super().__init__(instance.n, instance.d, seeds, iterations, replacement)
         comps = instance.components
-        if all(isinstance(Q, Block2Diag) for Q, _ in comps):
-            self.kind = "block"
+        self.block = all(isinstance(Q, Block2Diag) for Q, _ in comps)
+        if self.block:
             self.h = comps[0][0].h
             self.tail = comps[0][0].tail
             self.e = np.array([Q.e for Q, _ in comps])
             self.q = comps[0][1]
         else:
-            self.kind = "dense"
             self.Qs = np.stack([Q.dense() for Q, _ in comps])
             self.qs = np.stack([q for _, q in comps])
         self.A = instance.mean_matrix()
         self.qbar = instance.mean_q()
+        self.opt = instance.optimal_value
 
-    def comp_grad(self, jv: np.ndarray, W: np.ndarray) -> np.ndarray:
-        if self.kind == "block":
+    def comp_grad(self, jv, W):
+        if self.block:
             out = self.tail * W
             e = self.e[jv]
             out[:, 0] = self.h * W[:, 0] + e * W[:, 1]
@@ -415,166 +453,78 @@ class _BatchedFsm:
             return out - self.q
         return np.einsum("sij,sj->si", self.Qs[jv], W) - self.qs[jv]
 
-    def values(self, W: np.ndarray) -> np.ndarray:
-        return 0.5 * np.einsum("si,ij,sj->s", W, self.A, W) - W @ self.qbar
+    def answer(self, W, query):
+        if isinstance(query, FirstOrder):
+            # identity terms are skipped: g + 0*W would turn -0.0 into 0.0
+            out = self.comp_grad(query.j, W)
+            if query.a != 1.0:
+                out = out * query.a
+            if query.b != 0.0:
+                out = out + W * query.b
+            if query.c is not None:
+                out = out + query.c
+            return out
+        if isinstance(query, SteepestCD):
+            iv, jv = query.i, query.j
+            g = self.comp_grad(jv, W)
+            diag = np.where(iv < 2, self.h, self.tail) if self.block else self.Qs[jv, iv, iv]
+            out = W.copy()
+            out[self.rows, iv] -= g[self.rows, iv] / diag
+            return out
+        raise TypeError(f"no batched answer for {query!r}")
+
+    def mean_grad(self, W, ask):
+        self.calls += self.n
+        return W @ self.A.T - self.qbar
+
+    def suboptimality(self, W):
+        return 0.5 * np.einsum("si,ij,sj->s", W, self.A, W) - W @ self.qbar - self.opt
 
 
-def _batched_quadratic(name: str, schedule: Schedule, instance: QuadraticInstance,
-                       iterations: int, seeds: int) -> np.ndarray:
-    """Per-call suboptimality curves, shape (seeds, iterations+1)."""
-    p = schedule.params
-    n, d = instance.n, instance.d
-    L, mu = p["L"], p["mu"]
-    bf = _BatchedFsm(instance)
-    idx = _index_streams(name, n, d, iterations, seeds)
-    W = np.zeros((seeds, d))
-    errs = np.empty((seeds, iterations + 1))
-    opt = instance.optimal_value
-    errs[:, 0] = bf.values(W) - opt
-    srange = np.arange(seeds)
+class BatchedDualEngine(_Batched):
+    """RlmInstance over a seed batch; points are dual vectors."""
 
-    if name == "sag":
-        gamma = 1.0 / (16 * L)
-        table = np.zeros((seeds, n, d))
-        gsum = np.zeros((seeds, d))
-        for c in range(iterations):
-            jv = idx[0][:, c]
-            g = bf.comp_grad(jv, W)
-            gsum += g - table[srange, jv]
-            table[srange, jv] = g
-            W = W - (gamma / n) * gsum
-            errs[:, c + 1] = bf.values(W) - opt
-    elif name == "saga":
-        gamma = 1.0 / (3 * L)
-        table = np.zeros((seeds, n, d))
-        gsum = np.zeros((seeds, d))
-        for c in range(iterations):
-            jv = idx[0][:, c]
-            g = bf.comp_grad(jv, W)
-            old = table[srange, jv]
-            W = W - gamma * (g - old + gsum / n)
-            gsum += g - old
-            table[srange, jv] = g
-            errs[:, c + 1] = bf.values(W) - opt
-    elif name == "sgd":
-        gamma = 1.0 / (2 * L)
-        for c in range(iterations):
-            g = bf.comp_grad(idx[0][:, c], W)
-            W = W - gamma * g
-            errs[:, c + 1] = bf.values(W) - opt
-    elif name == "sdca_primal":
-        eta = min(1.0 / (4 * L), 1.0 / (mu * max(n, 1)))
-        table = np.zeros((seeds, n, d))
-        for c in range(iterations):
-            jv = idx[0][:, c]
-            g = bf.comp_grad(jv, W)
-            v = g + table[srange, jv]
-            table[srange, jv] -= eta * mu * n * v
-            W = W - eta * v
-            errs[:, c + 1] = bf.values(W) - opt
-    elif name == "svrg":
-        gamma = 1.0 / (10 * L)
-        m = 2 * n
-        # epoch pattern: 1 snapshot step (n calls), then m inner steps (2 calls each)
-        snap = np.zeros((seeds, d))
-        snap_grad = np.zeros((seeds, d))
-        jdraw = idx[0]
-        draw_ptr = 0
-        c = 0
-        prev = errs[:, 0].copy()
-        while c < iterations:
-            # snapshot
-            snap = W.copy()
-            snap_grad = (snap @ bf.A.T) - bf.qbar
-            hi = min(c + n, iterations)
-            errs[:, c + 1:hi + 1] = prev[:, None]
-            c = hi
-            if c >= iterations:
-                break
-            for _ in range(m):
-                jv = jdraw[:, draw_ptr]
-                draw_ptr += 1
-                g = bf.comp_grad(jv, W)
-                gt = bf.comp_grad(jv, snap)
-                W = W - gamma * (g - gt + snap_grad)
-                cur = bf.values(W) - opt
-                hi = min(c + 2, iterations)
-                if hi - c == 2:
-                    errs[:, c + 1] = prev
-                    errs[:, c + 2] = cur
-                    prev = cur
-                else:  # run out of call budget mid-step: point not yet updated
-                    errs[:, c + 1] = prev
-                c = hi
-                if c >= iterations:
-                    break
-    elif name == "cd_random":
-        for c in range(iterations):
-            iv, jv = idx[0][:, c], idx[1][:, c]
-            g = bf.comp_grad(jv, W)
-            diag = np.where(iv < 2, bf.h, bf.tail) if bf.kind == "block" else \
-                np.array([bf.Qs[j, i, i] for i, j in zip(iv, jv)])
-            W = W.copy()
-            W[srange, iv] -= g[srange, iv] / diag
-            errs[:, c + 1] = bf.values(W) - opt
-    else:
-        raise ValueError(f"no batched path for {name}")
-    return errs
+    def __init__(self, instance: RlmInstance, seeds, iterations, replacement=True):
+        super().__init__(instance.n, instance.n, seeds, iterations, replacement)
+        self.instance = instance
+        diag, self.off = instance.blocks
+        self.diag = np.repeat(diag, 2)
+        self.opt = instance.optimal_value()
 
-
-def _index_streams(name: str, n: int, d: int, iterations: int, seeds: int):
-    """Replays each seed's scalar RNG consumption pattern up front."""
-    spec = _draws_per_step(name)
-    ndraws = iterations  # at most one index tuple consumed per call
-    streams = [np.empty((seeds, ndraws), dtype=np.int64) for _ in spec]
-    for s in range(seeds):
-        rng = make_rng(s)
-        if len(spec) == 1:
-            hi = n if spec[0] == "n" else d
-            streams[0][s] = rng.integers(hi, size=ndraws)
-        else:
-            # interleaved draws with different bounds must replay one by one
-            for c in range(ndraws):
-                for t, kind in enumerate(spec):
-                    hi = n if kind == "n" else d
-                    streams[t][s, c] = rng.integers(hi)
-    return streams
-
-
-def _batched_rlm(schedule: Schedule, instance: RlmInstance, iterations: int,
-                 seeds: int) -> np.ndarray:
-    n = instance.n
-    diag, off = instance.blocks
-    diag_full = np.repeat(diag, 2)
-    idx = _index_streams("sdca", n, n, iterations, seeds)[0]
-    A = np.zeros((seeds, n))
-    errs = np.empty((seeds, iterations + 1))
-    opt = instance.optimal_value()
-    srange = np.arange(seeds)
-
-    def values(Al):
-        G = instance.q_matvec(Al)
-        return 0.5 * np.einsum("si,si->s", Al, G) - Al.sum(axis=1) / n
-
-    errs[:, 0] = values(A) - opt
-    for c in range(iterations):
-        jv = idx[:, c]
+    def answer(self, A, query):
+        if not isinstance(query, DualExactCD):
+            raise TypeError(f"no batched answer for {query!r}")
+        jv = query.j
         pair = jv // 2
         other = 2 * pair + 1 - (jv % 2)
-        gj = diag_full[jv] * A[srange, jv] + off[pair] * A[srange, other] - 1.0 / n
-        A = A.copy()
-        A[srange, jv] -= gj / diag_full[jv]
-        errs[:, c + 1] = values(A) - opt
-    return errs
+        gj = (self.diag[jv] * A[self.rows, jv] + self.off[pair] * A[self.rows, other]
+              - 1.0 / self.n)
+        out = A.copy()
+        out[self.rows, jv] -= gj / self.diag[jv]
+        return out
+
+    def suboptimality(self, A):
+        G = self.instance.q_matvec(A)
+        return 0.5 * np.einsum("si,si->s", A, G) - A.sum(axis=1) / self.n - self.opt
 
 
-def batched_curves(schedule: Schedule, instance, iterations: int, seeds: int) -> np.ndarray:
-    """(seeds, iterations+1) suboptimality curves, equal to per-seed `run`s."""
-    if isinstance(instance, RlmInstance):
-        if schedule.name != "sdca":
-            raise ValueError("only sdca runs on the dual family")
-        return _batched_rlm(schedule, instance, iterations, seeds)
-    return _batched_quadratic(schedule.name, schedule, instance, iterations, seeds)
+def batched_curves(schedule: Schedule, instance, iterations: int, seeds: int,
+                   replacement: bool = True) -> np.ndarray:
+    """(seeds, iterations+1) suboptimality curves: the schedule's own step
+    closures run once over a batched engine, row s being `run(..., seed=s)`.
+
+    With `replacement=False` every component draw comes from consecutive
+    random permutations of the components instead.
+    """
+    if not schedule.stochastic:
+        raise ValueError(f"{schedule.name} is deterministic; it runs on the scalar engine")
+    check_family(schedule, isinstance(instance, RlmInstance))
+    kind = BatchedDualEngine if isinstance(instance, RlmInstance) else BatchedEngine
+    engine = kind(instance, seeds, iterations, replacement)
+    errors = np.empty((seeds, iterations + 1))
+    _drive(schedule, engine, None, engine.ask, lambda: engine.calls,
+           engine.suboptimality, errors)
+    return errors
 
 
 @dataclass

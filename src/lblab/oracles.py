@@ -9,7 +9,10 @@ Three oracle families are supported:
 
 The answer procedures are written against a tiny engine protocol
 (component gradient, diagonal entry, basis update) so the same code runs on
-float vectors and on polynomial-valued iterates.  A and B in first-order
+float vectors and on polynomial-valued iterates.  Schedules reach index
+draws, component tables and the mean gradient through the engine as well
+(`SingleRunEngine` here; the batched engines in `optimizers` answer the
+same operations for a whole seed batch).  A and B in first-order
 queries are scalars (times identity); every optimizer in scope uses only
 that shape, and a dense escape hatch exists in tests via explicit matvecs.
 """
@@ -81,18 +84,45 @@ class CallLog:
         return "\n".join(lines) + "\n"
 
 
-class NumericEngine:
+class SingleRunEngine:
+    """Engine operations besides `answer` for engines that carry one run's
+    point (numeric vectors here, polynomial vectors in `trace`).
+
+    Subclasses provide `n`, `zero()` and, for coordinate draws, `d`.
+    """
+
+    def draw(self, rng, *kinds):
+        """One index per kind, in order: "n" a component, "d" a coordinate."""
+        return tuple(int(rng.integers(self.n if kind == "n" else self.d)) for kind in kinds)
+
+    def table(self):
+        """One stored point per component, all zero."""
+        return [self.zero() for _ in range(self.n)]
+
+    def gather(self, table, j):
+        return table[j]
+
+    def scatter(self, table, j, value):
+        table[j] = value
+
+    def mean_grad(self, w, ask, a=1.0, b=0.0):
+        """b*w + a*(mean gradient at w), asked as n first-order calls."""
+        acc = None
+        for j in range(self.n):
+            ans = ask(w, FirstOrder(a / self.n, b / self.n, j))
+            acc = ans if acc is None else acc + ans
+        return acc
+
+
+class NumericEngine(SingleRunEngine):
     """Engine over a QuadraticInstance with numpy float vectors."""
 
     def __init__(self, instance):
         self.instance = instance
-
-    @property
-    def n(self):
-        return self.instance.n
+        self.n, self.d = instance.n, instance.d
 
     def zero(self):
-        return np.zeros(self.instance.d)
+        return np.zeros(self.d)
 
     def comp_grad(self, j, w):
         return self.instance.comp_grad(j, w)
@@ -110,18 +140,15 @@ class NumericEngine:
         return out
 
 
-class DualNumericEngine:
+class DualNumericEngine(SingleRunEngine):
     """Engine over an RlmInstance; points are dual vectors."""
 
     def __init__(self, instance):
         self.instance = instance
-
-    @property
-    def n(self):
-        return self.instance.n
+        self.n = instance.n
 
     def zero(self):
-        return np.zeros(self.instance.n)
+        return np.zeros(self.n)
 
     def grad_entry(self, j, alpha):
         diag, off = self.instance.blocks

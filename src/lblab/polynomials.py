@@ -336,13 +336,14 @@ class PolyVector:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, r):
+        # the float reciprocal, coerced like every other constant
+        return self * (1.0 / r)
+
     def with_entry(self, i, p) -> "PolyVector":
         es = list(self.entries)
         es[i] = p
         return PolyVector(es, self.budget)
-
-    def eval_float(self, point):
-        return [float(e(tuple(Fraction(x) for x in point))) for e in self.entries]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oracles import CallLog, answer
+from .oracles import CallLog, SingleRunEngine, answer
 from .polynomials import MultiPoly, PolyVector, UniPoly
 from .optimizers import Schedule, make_rng
 
@@ -38,7 +38,7 @@ class DegreeViolation(AssertionError):
     pass
 
 
-class _QuadSymEngine:
+class _QuadSymEngine(SingleRunEngine):
     """Symbolic engine for quadratic families: component matrices affine in
     one indeterminate each."""
 
@@ -103,7 +103,7 @@ class FsmSymEngine(_QuadSymEngine):
         return self.h if i < 2 else self.mu
 
 
-class RlmSymEngine:
+class RlmSymEngine(SingleRunEngine):
     """Dual family: coordinates paired, block entries affine in s_j = sin psi_j."""
 
     def __init__(self, n, lam):

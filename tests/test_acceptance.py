@@ -115,7 +115,7 @@ def test_dual_coordinate_ascent_respects_rlm_envelope():
 def test_degree_budgets_hold_exactly():
     L, mu, R = 100.0, 1.0, 1.0
     for name in ("gd", "sgd", "sag", "svrg", "cd_cyclic"):
-        sched = make_optimizer(name, L=L, mu=mu, n=8, d=4)
+        sched = make_optimizer(name, L=L, mu=mu, n=8)
         for seed in range(5):
             vec = trace_oblivious(sched, "fsm", 10, seed=seed, n=8, d=4,
                                   L=L, mu=mu, R=R)

@@ -181,5 +181,21 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--family", "rlm"],
+    ["run", "--opt", "adam"],
+    ["run", "--opt", "sdca", "--family", "fsm"],
+    ["run", "--opt", "cd_random", "--family", "rlm"],
+    ["trace", "--opt", "lbfgs", "--family", "fsm"],
+    ["envelope", "--family", "fsm", "--n", "0"],
+])
+def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
+    assert cli.main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ")
+
+
 def test_cli_verify_all(capsys):
     assert cli.main(["verify-all"]) == EXIT_OK

@@ -5,10 +5,10 @@ import pytest
 
 from lblab.instances import (fsm_instance, nesterov_chain, rlm_instance,
                              toy_instance)
-from lblab.optimizers import (DETERMINISTIC_NAMES, OPTIMIZER_NAMES, Schedule,
-                              audit_oblivious, batched_curves,
-                              expected_error_curve, make_optimizer, make_rng,
-                              run)
+from lblab.optimizers import (DETERMINISTIC_NAMES, OPTIMIZER_NAMES,
+                              BatchedEngine, Schedule, audit_oblivious,
+                              batched_curves, expected_error_curve,
+                              make_optimizer, make_rng, run)
 from lblab.oracles import FirstOrder
 
 L, MU, R = 100.0, 1.0, 1.0
@@ -36,7 +36,7 @@ def test_gd_toy_contraction_guarantee():
 def test_deterministic_schedules_ignore_seed():
     inst = fsm()
     for name in ("gd", "agd", "hb", "cd_cyclic"):
-        sched = make_optimizer(name, L=L, mu=MU, n=8, d=4)
+        sched = make_optimizer(name, L=L, mu=MU, n=8)
         assert not sched.stochastic
         a = run(sched, inst, 40, seed=0).errors
         b = run(sched, inst, 40, seed=123).errors
@@ -46,7 +46,7 @@ def test_deterministic_schedules_ignore_seed():
 def test_stochastic_runs_are_reproducible():
     inst = fsm()
     for name in ("sgd", "sag", "saga", "svrg", "sdca_primal", "cd_random"):
-        sched = make_optimizer(name, L=L, mu=MU, n=8, d=4)
+        sched = make_optimizer(name, L=L, mu=MU, n=8)
         a = run(sched, inst, 60, seed=7).errors
         b = run(sched, inst, 60, seed=7).errors
         assert np.array_equal(a, b)
@@ -87,7 +87,7 @@ def test_audit_accepts_oblivious_schedules():
     for name in OPTIMIZER_NAMES:
         if name == "lbfgs":
             continue
-        sched = make_optimizer(name, L=L, mu=MU, n=8, d=4)
+        sched = make_optimizer(name, L=L, mu=MU, n=8)
         target = dual if name == "sdca" else inst
         assert audit_oblivious(sched, target, 40), name
 
@@ -111,20 +111,53 @@ def test_audit_rejects_adaptive_schedule():
 
 
 def test_lbfgs_is_declared_non_oblivious():
-    sched = make_optimizer("lbfgs", L=L, mu=MU, n=1, d=200)
+    sched = make_optimizer("lbfgs", L=L, mu=MU, n=1)
     assert not sched.oblivious
 
 
 def test_batched_curves_match_scalar_runs():
-    inst = fsm()
-    dual = rlm_instance(np.linspace(-1.2, 1.2, 4), 0.05, 8)
-    for name in ("sgd", "sag", "saga", "svrg", "sdca_primal", "cd_random", "sdca"):
-        sched = make_optimizer(name, L=L, mu=MU, n=8, d=4)
-        target = dual if name == "sdca" else inst
-        curves = batched_curves(sched, target, 50, 4)
-        for s in range(4):
-            ref = run(sched, target, 50, seed=s).errors
-            assert np.allclose(curves[s], ref, rtol=1e-9, atol=1e-15), name
+    # the batched engine runs the schedules' own closures, so batched and
+    # scalar runs agree under every parameterization, not only the defaults
+    for n in (8, 6):
+        inst = fsm(n=n)
+        dual = rlm_instance(np.linspace(-1.2, 1.2, n // 2), 0.05, n)
+        for name in ("sgd", "sag", "saga", "svrg", "sdca_primal", "cd_random", "sdca"):
+            variants = [{}, {"step": 1 / 500}] + ([{"epoch": 5}] if name == "svrg" else [])
+            for kw in variants:
+                sched = make_optimizer(name, L=L, mu=MU, n=n, **kw)
+                target = dual if name == "sdca" else inst
+                curves = batched_curves(sched, target, 50, 4)
+                for s in range(4):
+                    ref = run(sched, target, 50, seed=s).errors
+                    assert np.allclose(curves[s], ref, rtol=1e-9, atol=1e-15), (name, n, kw)
+
+
+def test_without_replacement_draws_permutation_blocks():
+    n, iterations, seeds = 6, 40, 5
+    engine = BatchedEngine(fsm(n=n), seeds, iterations, replacement=False)
+    draws = np.array([engine.draw(None, "n")[0] for _ in range(iterations)])
+    for start in range(0, iterations, n):
+        block = draws[start:start + n]
+        assert all(len(set(block[:, s])) == len(block) for s in range(seeds))
+        if len(block) == n:
+            assert np.array_equal(np.sort(block, axis=0),
+                                  np.repeat(np.arange(n)[:, None], seeds, axis=1))
+    assert np.array_equal(draws[:n, 2], make_rng(2).permutation(n))
+    with pytest.raises(ValueError):
+        batched_curves(make_optimizer("cd_random"), fsm(n=n), 10, 2, replacement=False)
+
+
+def test_coordinate_descent_reads_dimension_from_engine():
+    toy = toy_instance(2.0, 1.0, 4.0)
+    for name in ("cd_cyclic", "cd_random"):
+        rec = run(make_optimizer(name), toy, 6)
+        assert abs(rec.errors[1]) <= 1e-15  # one exact step solves the scalar problem
+    # one coordinate and one component: every seed repeats the scalar run
+    cd_random = make_optimizer("cd_random")
+    curves = batched_curves(cd_random, toy, 6, 3)
+    assert np.allclose(curves, run(cd_random, toy, 6).errors, rtol=1e-9, atol=1e-15)
+    with pytest.raises(ValueError):  # deterministic schedules stay scalar
+        batched_curves(make_optimizer("cd_cyclic"), toy, 6, 3)
 
 
 def test_sdca_decays_in_expectation():
@@ -144,7 +177,7 @@ def test_philox_streams_differ_by_seed():
 def test_lbfgs_beats_momentum_on_chain():
     d = 200
     inst = nesterov_chain(d, L, MU)
-    lb = run(make_optimizer("lbfgs", L=L, mu=MU, n=1, d=d, memory=100), inst, 300)
+    lb = run(make_optimizer("lbfgs", L=L, mu=MU, n=1, memory=100), inst, 300)
     agd = run(make_optimizer("agd", L=L, mu=MU, n=1), inst, 300)
     assert lb.errors.min() <= 1e-10
     first_lb = int(np.argmax(lb.errors <= 1e-10))

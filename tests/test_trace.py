@@ -89,7 +89,7 @@ def test_rlm_trace_variable_budget():
 
 
 def test_trace_refuses_non_oblivious():
-    sched = make_optimizer("lbfgs", L=4.0, mu=1.0, n=1, d=3)
+    sched = make_optimizer("lbfgs", L=4.0, mu=1.0, n=1)
     with pytest.raises(ValueError):
         trace_oblivious(sched, "toy", 3, L=4.0, mu=1.0)
 
