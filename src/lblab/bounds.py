@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 
 @dataclass(frozen=True)
@@ -227,6 +226,8 @@ def identity_checks(u: float, ks=(1, 2, 3, 4, 5, 6)) -> dict:
     - sgn_integral[k]: |numeric integral_{-1}^{1} sgn(sin(k arccos eta))/(u - eta) deta
       - 2 ln((z^k+1)/(z^k-1))|, z = u + sqrt(u^2 - 1).
     """
+    from scipy import integrate  # only this check integrates; keep it off import
+
     if u <= 1:
         raise ValueError("u must exceed 1")
     s = math.sqrt((u - 1.0) / (u + 1.0))

@@ -186,7 +186,7 @@ def bounds_table(formula: str, cfg: ExperimentConfig, kmax: int):
         elif formula == "l2":
             v = bounds.l2_weighted_lb(-0.5, k)
         elif formula == "fsm_envelope":
-            v = bounds.fsm_rate_envelope(cfg.kappa, cfg.n, k, envelope_prefactor(cfg))
+            v = FAMILIES["fsm"].envelope(cfg, k)
         else:
             raise ConfigError(f"unknown formula {formula!r}")
         rows.append([k, float(v)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -267,7 +268,7 @@ class RlmInstance:
     lam: float
     n: int
 
-    @property
+    @cached_property
     def blocks(self) -> np.ndarray:
         ln = self.lam * self.n
         s = np.sin(self.psis)
@@ -312,11 +313,12 @@ class RlmInstance:
     def minimizer(self) -> np.ndarray:
         return rlm_dual_minimizer(self.psis, self.lam, self.n)
 
+    @cached_property
     def optimal_value(self) -> float:
         return self.dual_value(self.minimizer())
 
     def suboptimality(self, alpha: np.ndarray) -> float:
-        return self.dual_value(alpha) - self.optimal_value()
+        return self.dual_value(alpha) - self.optimal_value
 
     def primal_value(self, w: np.ndarray) -> float:
         X = self.data_matrix()

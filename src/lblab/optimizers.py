@@ -1,6 +1,6 @@
 """Optimizers expressed as oracle-query schedules.
 
-A Schedule's parameter choices are functions of (step index, RNG stream)
+A Schedule's parameter choices are functions of (step index, index stream)
 only; it sees oracle answers exclusively through the `ask` callback, whose
 return values feed the iterate arithmetic but never the parameter choices.
 That is what "oblivious" means here, and `audit_oblivious` re-runs a
@@ -11,13 +11,15 @@ two-loop direction and exact line search read the answers.
 
 Each schedule is defined once, as the step closures `make_optimizer`
 returns.  They reach index draws, component tables and the mean gradient
-only through engine operations, so the same closures run on the scalar
-engines (`run`), the symbolic engines (`trace.trace_oblivious`) and the
-batched engines below (`batched_curves`), whose points hold one row per
-seed.  `run` and `batched_curves` share one loop that records
-suboptimality per oracle call (call 0 = initialization), the x-axis the
-lower-bound envelopes are stated in.  `expected_error_curve` averages the
-batched curves over seeds.
+only through engine operations, and every engine answers their queries
+through `oracles.answer`, so the same closures run on the scalar engines
+(`run`), the symbolic engines (`trace.trace_oblivious`) and the batched
+engines below (`batched_curves`), whose points hold one row per seed.  Each
+engine owns its index stream.  `run`, `batched_curves`, `audit_oblivious`
+and `trace_oblivious` share one loop, `_drive`, that measures the tracked
+point per oracle call (call 0 = initialization): suboptimality, the x-axis
+the lower-bound envelopes are stated in, or the tracer's degree budget.
+`expected_error_curve` averages the batched curves over seeds.
 """
 
 from __future__ import annotations
@@ -40,20 +42,15 @@ DETERMINISTIC_NAMES = ("gd", "agd", "hb", "cd_cyclic", "lbfgs")
 
 @dataclass
 class Schedule:
+    """`init(engine)` returns a fresh state dict whose "w" is the tracked
+    point; `step(state, k, ask, engine)` advances it by step k in place."""
+
     name: str
     oblivious: bool
     p: int  # tracked points
-    params: dict
-    _init: object
-    _step: object
+    init: object
+    step: object
     stochastic: bool = True
-
-    def init_state(self, engine, rng):
-        return self._init(engine, rng, self.params)
-
-    def step(self, state, k, rng, ask, engine):
-        """Advance one schedule step; mutates state, returns nothing."""
-        self._step(state, k, rng, ask, engine, self.params)
 
 
 @dataclass
@@ -83,145 +80,144 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
     if name not in ("sdca", "cd_cyclic", "cd_random") and L is None:
         raise ValueError(f"{name} requires L")
     kappa = (L / mu) if (L is not None and mu is not None) else None
-    params = {"L": L, "mu": mu, "n": n}
 
     if name == "gd":
         gamma = step if step is not None else 1.0 / L
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero()}
-        def stp(state, k, rng, ask, engine, p):
+        def stp(state, k, ask, engine):
             state["w"] = engine.mean_grad(state["w"], ask, -gamma, 1.0)
-        return Schedule(name, True, 1, params, init, stp, stochastic=False)
+        return Schedule(name, True, 1, init, stp, stochastic=False)
 
     if name == "agd":
         if kappa is None:
             raise ValueError("agd requires L and mu")
         gamma = step if step is not None else 1.0 / L
         beta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
-        def init(engine, rng, p):
+        def init(engine):
             z = engine.zero()
             return {"w": z, "w_prev": z}
-        def stp(state, k, rng, ask, engine, p):
+        def stp(state, k, ask, engine):
             w, wp = state["w"], state["w_prev"]
             y = w * (1 + beta) - wp * beta
             state["w_prev"] = w
             state["w"] = engine.mean_grad(y, ask, -gamma, 1.0)
-        return Schedule(name, True, 2, params, init, stp, stochastic=False)
+        return Schedule(name, True, 2, init, stp, stochastic=False)
 
     if name == "hb":
         if kappa is None:
             raise ValueError("hb requires L and mu")
         alpha = step if step is not None else 4.0 / (math.sqrt(L) + math.sqrt(mu)) ** 2
         beta = ((math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)) ** 2
-        def init(engine, rng, p):
+        def init(engine):
             z = engine.zero()
             return {"w": z, "w_prev": z}
-        def stp(state, k, rng, ask, engine, p):
+        def stp(state, k, ask, engine):
             w, wp = state["w"], state["w_prev"]
             state["w_prev"] = w
             state["w"] = engine.mean_grad(w, ask, -alpha, 1.0 + beta) - wp * beta
-        return Schedule(name, True, 2, params, init, stp, stochastic=False)
+        return Schedule(name, True, 2, init, stp, stochastic=False)
 
     if name == "sgd":
         gamma = step if step is not None else 1.0 / (2 * L)
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero()}
-        def stp(state, k, rng, ask, engine, p):
-            (j,) = engine.draw(rng, "n")
+        def stp(state, k, ask, engine):
+            (j,) = engine.draw("n")
             state["w"] = ask(state["w"], FirstOrder(-gamma, 1.0, j))
-        return Schedule(name, True, 1, params, init, stp)
+        return Schedule(name, True, 1, init, stp)
 
     if name == "sag":
         gamma = step if step is not None else 1.0 / (16 * L)
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero(), "table": engine.table(), "gsum": engine.zero()}
-        def stp(state, k, rng, ask, engine, p):
-            (j,) = engine.draw(rng, "n")
+        def stp(state, k, ask, engine):
+            (j,) = engine.draw("n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
             state["gsum"] = state["gsum"] + (g - engine.gather(state["table"], j))
             engine.scatter(state["table"], j, g)
             state["w"] = state["w"] - state["gsum"] * (gamma / engine.n)
-        return Schedule(name, True, 1, params, init, stp)
+        return Schedule(name, True, 1, init, stp)
 
     if name == "saga":
         gamma = step if step is not None else 1.0 / (3 * L)
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero(), "table": engine.table(), "gsum": engine.zero()}
-        def stp(state, k, rng, ask, engine, p):
-            (j,) = engine.draw(rng, "n")
+        def stp(state, k, ask, engine):
+            (j,) = engine.draw("n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
             old = engine.gather(state["table"], j)
             upd = g - old + state["gsum"] / engine.n
             state["gsum"] = state["gsum"] + (g - old)
             engine.scatter(state["table"], j, g)
             state["w"] = state["w"] - upd * gamma
-        return Schedule(name, True, 1, params, init, stp)
+        return Schedule(name, True, 1, init, stp)
 
     if name == "svrg":
         gamma = step if step is not None else 1.0 / (10 * L)
-        def init(engine, rng, p):
+        def init(engine):
             z = engine.zero()
             st = {"w": z, "snapshot": z, "snap_grad": z, "inner": 0,
                   "m": epoch if epoch is not None else 2 * engine.n}
             st["need_snapshot"] = True
             return st
-        def stp(state, k, rng, ask, engine, p):
+        def stp(state, k, ask, engine):
             if state["need_snapshot"]:
                 state["snapshot"] = state["w"]
                 state["snap_grad"] = engine.mean_grad(state["snapshot"], ask)
                 state["inner"] = 0
                 state["need_snapshot"] = False
                 return
-            (j,) = engine.draw(rng, "n")
+            (j,) = engine.draw("n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
             gt = ask(state["snapshot"], FirstOrder(1.0, 0.0, j))
             state["w"] = state["w"] - (g - gt + state["snap_grad"]) * gamma
             state["inner"] += 1
             if state["inner"] >= state["m"]:
                 state["need_snapshot"] = True
-        return Schedule(name, True, 2, params, init, stp)
+        return Schedule(name, True, 2, init, stp)
 
     if name == "sdca":
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero()}
-        def stp(state, k, rng, ask, engine, p):
-            (j,) = engine.draw(rng, "n")
+        def stp(state, k, ask, engine):
+            (j,) = engine.draw("n")
             state["w"] = ask(state["w"], DualExactCD(j))
-        return Schedule(name, True, 1, params, init, stp)
+        return Schedule(name, True, 1, init, stp)
 
     if name == "sdca_primal":
         # dual-free SDCA: pseudo-dual vectors a_j with w = sum a_j/(mu n)
         if mu is None or L is None:
             raise ValueError("sdca_primal requires L and mu")
         eta = step if step is not None else min(1.0 / (4 * L), 1.0 / (mu * max(n, 1)))
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero(), "table": engine.table()}
-        def stp(state, k, rng, ask, engine, p):
-            (j,) = engine.draw(rng, "n")
+        def stp(state, k, ask, engine):
+            (j,) = engine.draw("n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
             old = engine.gather(state["table"], j)
             v = g + old
             engine.scatter(state["table"], j, old - v * (eta * mu * engine.n))
             state["w"] = state["w"] - v * eta
-        return Schedule(name, True, 1, params, init, stp)
+        return Schedule(name, True, 1, init, stp)
 
     if name in ("cd_cyclic", "cd_random"):
         cyclic = name == "cd_cyclic"
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero()}
-        def stp(state, k, rng, ask, engine, p):
+        def stp(state, k, ask, engine):
             if cyclic:
                 i = (k // engine.n) % engine.d
                 j = k % engine.n
             else:
-                i, j = engine.draw(rng, "d", "n")
+                i, j = engine.draw("d", "n")
             state["w"] = ask(state["w"], SteepestCD(i, j))
-        return Schedule(name, True, 1, params, init, stp, stochastic=not cyclic)
+        return Schedule(name, True, 1, init, stp, stochastic=not cyclic)
 
     if name == "lbfgs":
-        def init(engine, rng, p):
+        def init(engine):
             return {"w": engine.zero(), "g": None, "S": [], "Y": []}
-        def stp(state, k, rng, ask, engine, p):
+        def stp(state, k, ask, engine):
             w = state["w"]
             if state["g"] is None:
                 state["g"] = engine.mean_grad(w, ask)
@@ -253,16 +249,16 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             if len(state["S"]) > memory:
                 state["S"].pop(0)
                 state["Y"].pop(0)
-        return Schedule(name, False, 1, {**params, "memory": memory}, init, stp,
-                        stochastic=False)
+        return Schedule(name, False, 1, init, stp, stochastic=False)
 
     raise AssertionError("unreachable")
 
 
-def _make_engine(instance):
-    if isinstance(instance, RlmInstance):
-        return DualNumericEngine(instance)
-    return NumericEngine(instance)
+def _make_engine(instance, seed):
+    kind = DualNumericEngine if isinstance(instance, RlmInstance) else NumericEngine
+    engine = kind(instance)
+    engine.rng = make_rng(seed)
+    return engine
 
 
 def check_family(schedule: Schedule, dual: bool):
@@ -278,26 +274,28 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _drive(schedule: Schedule, engine, rng, ask, calls, suboptimality, errors):
-    """Step `schedule` until `errors` holds one suboptimality per oracle call.
+def _drive(schedule: Schedule, engine, ask, calls, measure, errors):
+    """Step `schedule` on `engine` until `errors` holds one measure per
+    oracle call, and return the final state.
 
     `errors` has shape (iterations+1,) or (seeds, iterations+1); `calls()`
-    counts the oracle calls made so far and `suboptimality` maps the tracked
-    point to one error (or one per seed).  Multi-call steps (full gradients,
-    snapshots) update the tracked point only when the step completes;
-    intermediate call indices repeat the previous error.  A run whose steps
-    stop calling the oracle (L-BFGS at an exact stationary point) is
-    flat-filled after 50 such steps.
+    counts the oracle calls made so far and `measure` maps the tracked point
+    to one error (or one per seed).  The point is measured after every step
+    that called the oracle, including the one that passes `iterations`.
+    Multi-call steps (full gradients, snapshots) update the tracked point
+    only when the step completes; intermediate call indices repeat the
+    previous error.  A run whose steps stop calling the oracle (L-BFGS at an
+    exact stationary point) is flat-filled after 50 such steps.
     """
     cols = errors.T  # one row per call index
     iterations = len(cols) - 1
-    state = schedule.init_state(engine, rng)
-    err = suboptimality(state["w"])
+    state = schedule.init(engine)
+    err = measure(state["w"])
     cols[0] = err
     filled = k = stalls = 0
     while filled < iterations:
         before = calls()
-        schedule.step(state, k, rng, ask, engine)
+        schedule.step(state, k, ask, engine)
         k += 1
         after = calls()
         if after == before:
@@ -307,13 +305,14 @@ def _drive(schedule: Schedule, engine, rng, ask, calls, suboptimality, errors):
                 filled = iterations
             continue
         stalls = 0
-        new_err = suboptimality(state["w"])
+        new_err = measure(state["w"])
         hi = min(after, iterations)
         cols[filled + 1:hi] = err  # point unchanged until the step completed
         if hi > filled:
             cols[hi] = new_err if after <= iterations else err
         err = new_err
         filled = hi
+    return state
 
 
 def run(schedule: Schedule, instance, iterations: int, seed: int = 0,
@@ -323,7 +322,7 @@ def run(schedule: Schedule, instance, iterations: int, seed: int = 0,
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     check_family(schedule, isinstance(instance, RlmInstance))
-    engine = _make_engine(instance)
+    engine = _make_engine(instance, seed)
     log = CallLog()
     log.record_queries = record_queries
 
@@ -332,8 +331,7 @@ def run(schedule: Schedule, instance, iterations: int, seed: int = 0,
 
     t0 = time.perf_counter()
     errors = np.empty(iterations + 1)
-    _drive(schedule, engine, make_rng(seed), ask, lambda: log.total,
-           instance.suboptimality, errors)
+    _drive(schedule, engine, ask, lambda: log.total, instance.suboptimality, errors)
     return RunRecord(schedule.name, seed, errors, log, time.perf_counter() - t0)
 
 
@@ -344,7 +342,7 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
     a schedule whose parameters read the answers will diverge (or fail).
     """
     real = run(schedule, instance, iterations, seed, record_queries=True)
-    engine = _make_engine(instance)
+    engine = _make_engine(instance, seed)
     log = CallLog()
     log.record_queries = True
 
@@ -354,8 +352,8 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
         return engine.zero()
 
     try:
-        _drive(schedule, engine, make_rng(seed), spoofed, lambda: log.total,
-               lambda w: 0.0, np.empty(iterations + 1))
+        _drive(schedule, engine, spoofed, lambda: log.total, lambda w: 0.0,
+               np.empty(iterations + 1))
     except Exception:
         return False
     return log.queries[:iterations] == real.log.queries[:iterations]
@@ -366,9 +364,10 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
 
 
 class _Batched:
-    """Engine operations over a batch of seeds.  Points are (seeds, d)
-    arrays whose row s is seed s's run, and a component index is a vector
-    with one entry per row.
+    """The engine protocol over a batch of seeds, answered by
+    `oracles.answer` as on one run.  Points are (seeds, d) arrays whose row
+    s is seed s's run, and a component or coordinate index is a vector with
+    one entry per row.
 
     Seed s draws its indices from `make_rng(s)`, exactly as `run(...,
     seed=s)` does, but all at once: the first `draw` builds every seed's
@@ -379,8 +378,9 @@ class _Batched:
     calls per row.
     """
 
-    def __init__(self, n, d, seeds, iterations, replacement):
-        self.n, self.d, self.seeds = n, d, seeds
+    def __init__(self, instance, d, seeds, iterations, replacement):
+        self.n, self.d, self.seeds = instance.n, d, seeds
+        self.opt = instance.optimal_value
         self.rows = np.arange(seeds)
         self.calls = 0
         self._iterations, self._replacement = iterations, replacement
@@ -401,7 +401,7 @@ class _Batched:
             raise ValueError("sampling without replacement draws components only")
         return np.stack(per_seed, axis=2)  # (draw, kind, seed)
 
-    def draw(self, rng, *kinds):
+    def draw(self, *kinds):
         if self._streams is None:
             self._streams = self._build_streams(kinds)
         out = self._streams[self._next]
@@ -420,16 +420,21 @@ class _Batched:
     def scatter(self, table, j, value):
         table[self.rows, j] = value
 
+    def add_to_entry(self, W, iv, t):
+        out = W.copy()
+        out[self.rows, iv] += t
+        return out
+
     def ask(self, point, query):
         self.calls += 1
-        return self.answer(point, query)
+        return answer(self, point, query)
 
 
 class BatchedEngine(_Batched):
     """QuadraticInstance over a seed batch."""
 
     def __init__(self, instance: QuadraticInstance, seeds, iterations, replacement=True):
-        super().__init__(instance.n, instance.d, seeds, iterations, replacement)
+        super().__init__(instance, instance.d, seeds, iterations, replacement)
         comps = instance.components
         self.block = all(isinstance(Q, Block2Diag) for Q, _ in comps)
         if self.block:
@@ -442,7 +447,6 @@ class BatchedEngine(_Batched):
             self.qs = np.stack([q for _, q in comps])
         self.A = instance.mean_matrix()
         self.qbar = instance.mean_q()
-        self.opt = instance.optimal_value
 
     def comp_grad(self, jv, W):
         if self.block:
@@ -451,27 +455,17 @@ class BatchedEngine(_Batched):
             out[:, 0] = self.h * W[:, 0] + e * W[:, 1]
             out[:, 1] = e * W[:, 0] + self.h * W[:, 1]
             return out - self.q
-        return np.einsum("sij,sj->si", self.Qs[jv], W) - self.qs[jv]
+        # matmul runs the scalar engine's BLAS kernels (gemv here, dot in
+        # grad_entry) row by row, so each row rounds as the scalar run does
+        return (self.Qs[jv] @ W[:, :, None])[:, :, 0] - self.qs[jv]
 
-    def answer(self, W, query):
-        if isinstance(query, FirstOrder):
-            # identity terms are skipped: g + 0*W would turn -0.0 into 0.0
-            out = self.comp_grad(query.j, W)
-            if query.a != 1.0:
-                out = out * query.a
-            if query.b != 0.0:
-                out = out + W * query.b
-            if query.c is not None:
-                out = out + query.c
-            return out
-        if isinstance(query, SteepestCD):
-            iv, jv = query.i, query.j
-            g = self.comp_grad(jv, W)
-            diag = np.where(iv < 2, self.h, self.tail) if self.block else self.Qs[jv, iv, iv]
-            out = W.copy()
-            out[self.rows, iv] -= g[self.rows, iv] / diag
-            return out
-        raise TypeError(f"no batched answer for {query!r}")
+    def diag(self, jv, iv):
+        return np.where(iv < 2, self.h, self.tail) if self.block else self.Qs[jv, iv, iv]
+
+    def grad_entry(self, jv, iv, W):
+        if self.block:
+            return self.comp_grad(jv, W)[self.rows, iv]
+        return (self.Qs[jv, iv][:, None, :] @ W[:, :, None])[:, 0, 0] - self.qs[jv, iv]
 
     def mean_grad(self, W, ask):
         self.calls += self.n
@@ -485,23 +479,18 @@ class BatchedDualEngine(_Batched):
     """RlmInstance over a seed batch; points are dual vectors."""
 
     def __init__(self, instance: RlmInstance, seeds, iterations, replacement=True):
-        super().__init__(instance.n, instance.n, seeds, iterations, replacement)
+        super().__init__(instance, instance.n, seeds, iterations, replacement)
         self.instance = instance
-        diag, self.off = instance.blocks
-        self.diag = np.repeat(diag, 2)
-        self.opt = instance.optimal_value()
+        self.dg, self.off = instance.blocks
 
-    def answer(self, A, query):
-        if not isinstance(query, DualExactCD):
-            raise TypeError(f"no batched answer for {query!r}")
-        jv = query.j
+    def grad_entry(self, jv, A):
         pair = jv // 2
         other = 2 * pair + 1 - (jv % 2)
-        gj = (self.diag[jv] * A[self.rows, jv] + self.off[pair] * A[self.rows, other]
-              - 1.0 / self.n)
-        out = A.copy()
-        out[self.rows, jv] -= gj / self.diag[jv]
-        return out
+        return (self.dg[pair] * A[self.rows, jv] + self.off[pair] * A[self.rows, other]
+                - 1.0 / self.n)
+
+    def diag(self, jv):
+        return self.dg[jv // 2]
 
     def suboptimality(self, A):
         G = self.instance.q_matvec(A)
@@ -522,8 +511,7 @@ def batched_curves(schedule: Schedule, instance, iterations: int, seeds: int,
     kind = BatchedDualEngine if isinstance(instance, RlmInstance) else BatchedEngine
     engine = kind(instance, seeds, iterations, replacement)
     errors = np.empty((seeds, iterations + 1))
-    _drive(schedule, engine, None, engine.ask, lambda: engine.calls,
-           engine.suboptimality, errors)
+    _drive(schedule, engine, engine.ask, lambda: engine.calls, engine.suboptimality, errors)
     return errors
 
 

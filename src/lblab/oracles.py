@@ -7,14 +7,17 @@ Three oracle families are supported:
 - dual coordinate oracles: a gradient step or exact minimization along one
   dual coordinate.
 
-The answer procedures are written against a tiny engine protocol
-(component gradient, diagonal entry, basis update) so the same code runs on
-float vectors and on polynomial-valued iterates.  Schedules reach index
-draws, component tables and the mean gradient through the engine as well
-(`SingleRunEngine` here; the batched engines in `optimizers` answer the
-same operations for a whole seed batch).  A and B in first-order
-queries are scalars (times identity); every optimizer in scope uses only
-that shape, and a dense escape hatch exists in tests via explicit matvecs.
+`answer` is the only code that answers a query.  Its procedures are written
+against a tiny engine protocol (`comp_grad`, `diag`, `grad_entry`,
+`add_to_entry`), so the same code answers on float vectors (the engines
+here), on polynomial-valued iterates (`trace`) and on the batched engines in
+`optimizers`, whose points hold one row per seed and whose component and
+coordinate indices hold one entry per row.  Schedules reach index draws,
+component tables and the mean gradient through the engine as well, and each
+engine owns its index stream: `SingleRunEngine.rng` is set by whoever
+drives the run.  A and B in first-order queries are scalars (times
+identity); every optimizer in scope uses only that shape, and a dense
+escape hatch exists in tests via explicit matvecs.
 """
 
 from __future__ import annotations
@@ -85,15 +88,19 @@ class CallLog:
 
 
 class SingleRunEngine:
-    """Engine operations besides `answer` for engines that carry one run's
+    """Schedule-facing engine operations for engines that carry one run's
     point (numeric vectors here, polynomial vectors in `trace`).
 
-    Subclasses provide `n`, `zero()` and, for coordinate draws, `d`.
+    Subclasses provide `n`, `zero()` and, for coordinate draws, `d`; the
+    run's driver sets `rng`, the stream `draw` reads.
     """
 
-    def draw(self, rng, *kinds):
+    rng = None
+
+    def draw(self, *kinds):
         """One index per kind, in order: "n" a component, "d" a coordinate."""
-        return tuple(int(rng.integers(self.n if kind == "n" else self.d)) for kind in kinds)
+        return tuple(int(self.rng.integers(self.n if kind == "n" else self.d))
+                     for kind in kinds)
 
     def table(self):
         """One stored point per component, all zero."""
@@ -114,15 +121,26 @@ class SingleRunEngine:
         return acc
 
 
-class NumericEngine(SingleRunEngine):
-    """Engine over a QuadraticInstance with numpy float vectors."""
+class _FloatEngine(SingleRunEngine):
+    """One run's point as a numpy float vector of length d."""
 
-    def __init__(self, instance):
-        self.instance = instance
-        self.n, self.d = instance.n, instance.d
+    def __init__(self, instance, d):
+        self.instance, self.n, self.d = instance, instance.n, d
 
     def zero(self):
         return np.zeros(self.d)
+
+    def add_to_entry(self, w, i, t):
+        out = w.copy()
+        out[i] += t
+        return out
+
+
+class NumericEngine(_FloatEngine):
+    """Engine over a QuadraticInstance."""
+
+    def __init__(self, instance):
+        super().__init__(instance, instance.d)
 
     def comp_grad(self, j, w):
         return self.instance.comp_grad(j, w)
@@ -134,21 +152,12 @@ class NumericEngine(SingleRunEngine):
         Q, q = self.instance.components[j]
         return Q.row_dot(i, w) - q[i]
 
-    def add_to_entry(self, w, i, t):
-        out = w.copy()
-        out[i] += t
-        return out
 
-
-class DualNumericEngine(SingleRunEngine):
+class DualNumericEngine(_FloatEngine):
     """Engine over an RlmInstance; points are dual vectors."""
 
     def __init__(self, instance):
-        self.instance = instance
-        self.n = instance.n
-
-    def zero(self):
-        return np.zeros(self.n)
+        super().__init__(instance, instance.n)
 
     def grad_entry(self, j, alpha):
         diag, off = self.instance.blocks
@@ -159,15 +168,14 @@ class DualNumericEngine(SingleRunEngine):
     def diag(self, j):
         return self.instance.blocks[0][j // 2]
 
-    def add_to_entry(self, alpha, j, t):
-        out = alpha.copy()
-        out[j] += t
-        return out
-
 
 def answer_first_order(engine, w, q: FirstOrder, log: CallLog = None):
-    g = engine.comp_grad(q.j, w)
-    out = g * q.a + w * q.b
+    # identity terms are skipped: g + 0*w would turn -0.0 into 0.0
+    out = engine.comp_grad(q.j, w)
+    if q.a != 1:
+        out = out * q.a
+    if q.b != 0:
+        out = out + w * q.b
     if q.c is not None:
         out = out + q.c
     if log is not None:
@@ -175,27 +183,33 @@ def answer_first_order(engine, w, q: FirstOrder, log: CallLog = None):
     return out
 
 
+def _coordinate_step(engine, point, i, g, d):
+    # t = -(g / d) is the exact line minimum along e_i: slope g, curvature d
+    if not (d.all() if isinstance(d, np.ndarray) else d):  # arrays on batched engines
+        raise ZeroDivisionError("zero diagonal entry in a coordinate step")
+    return engine.add_to_entry(point, i, -(g / d))
+
+
 def answer_steepest_cd(engine, w, q: SteepestCD, log: CallLog = None):
-    dii = engine.diag(q.j, q.i)
-    if dii == 0:
-        raise ZeroDivisionError("zero diagonal entry in steepest coordinate step")
-    t = engine.grad_entry(q.j, q.i, w) * (-1 / dii)
+    out = _coordinate_step(engine, w, q.i, engine.grad_entry(q.j, q.i, w),
+                           engine.diag(q.j, q.i))
     if log is not None:
         log.note(q, q.j)
-    return engine.add_to_entry(w, q.i, t)
+    return out
 
 
 def answer_dual_rlm(engine, alpha, q, log: CallLog = None):
     # the dual coordinate index doubles as the component touched
     if isinstance(q, DualGradStep):
-        t = engine.grad_entry(q.j, alpha) * q.t
+        out = engine.add_to_entry(alpha, q.j, engine.grad_entry(q.j, alpha) * q.t)
     elif isinstance(q, DualExactCD):
-        t = engine.grad_entry(q.j, alpha) * (-1 / engine.diag(q.j))
+        out = _coordinate_step(engine, alpha, q.j, engine.grad_entry(q.j, alpha),
+                               engine.diag(q.j))
     else:
         raise TypeError(f"not a dual query: {q!r}")
     if log is not None:
         log.note(q, q.j)
-    return engine.add_to_entry(alpha, q.j, t)
+    return out
 
 
 def answer(engine, point, query, log: CallLog = None):

@@ -223,6 +223,10 @@ class MultiPoly:
         r = _frac(r)
         return MultiPoly(self.nvars, {e: c * r for e, c in self.terms.items()})
 
+    def __truediv__(self, r):
+        # exact: scale by the rational reciprocal
+        return self.scale(1 / _frac(r))
+
     def __call__(self, point):
         if len(point) != self.nvars:
             raise ValueError("point length != indeterminate count")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .oracles import CallLog, SingleRunEngine, answer
 from .polynomials import MultiPoly, PolyVector, UniPoly
-from .optimizers import Schedule, make_rng
+from .optimizers import Schedule, _drive, make_rng
 
 FAMILIES = ("toy", "fsm", "smooth", "rlm")
 
@@ -38,9 +38,10 @@ class DegreeViolation(AssertionError):
     pass
 
 
-class _QuadSymEngine(SingleRunEngine):
-    """Symbolic engine for quadratic families: component matrices affine in
-    one indeterminate each."""
+class _SymEngine(SingleRunEngine):
+    """Symbolic engine: points are PolyVectors of length d.  For the
+    quadratic families each component matrix is affine in one
+    indeterminate."""
 
     def __init__(self, n, d, nvars):
         self.n = n
@@ -57,7 +58,7 @@ class _QuadSymEngine(SingleRunEngine):
         return self.comp_grad(j, w)[i]
 
 
-class ToySymEngine(_QuadSymEngine):
+class ToySymEngine(_SymEngine):
     def __init__(self):
         super().__init__(n=1, d=1, nvars=1)
         self.eta = MultiPoly.var(1, 0)
@@ -69,7 +70,7 @@ class ToySymEngine(_QuadSymEngine):
         raise NotImplementedError("toy component diagonal is the indeterminate itself")
 
 
-class SmoothSymEngine(_QuadSymEngine):
+class SmoothSymEngine(_SymEngine):
     def __init__(self, R, d):
         super().__init__(n=1, d=d, nvars=1)
         self.R = _frac(R)
@@ -84,7 +85,7 @@ class SmoothSymEngine(_QuadSymEngine):
         raise NotImplementedError("smooth component diagonal is the indeterminate itself")
 
 
-class FsmSymEngine(_QuadSymEngine):
+class FsmSymEngine(_SymEngine):
     def __init__(self, n, d, L, mu, R):
         super().__init__(n=n, d=d, nvars=n)
         self.h = _frac((float(L) + float(mu)) / 2)
@@ -103,24 +104,17 @@ class FsmSymEngine(_QuadSymEngine):
         return self.h if i < 2 else self.mu
 
 
-class RlmSymEngine(SingleRunEngine):
+class RlmSymEngine(_SymEngine):
     """Dual family: coordinates paired, block entries affine in s_j = sin psi_j."""
 
     def __init__(self, n, lam):
         if n % 2:
             raise ValueError("n must be even")
-        self.n = n
-        self.nvars = n // 2
+        super().__init__(n=n, d=n, nvars=n // 2)
         ln = float(lam) * n
         self.dg = _frac((1 + 1 / ln) / n)
         self.off_coef = _frac(1 / (ln * n))
         self.lin = _frac(1 / n)
-
-    def zero(self) -> PolyVector:
-        return PolyVector.zeros(self.n, self.nvars)
-
-    def add_to_entry(self, a: PolyVector, j, t):
-        return a.with_entry(j, a[j] + t)
 
     def grad_entry(self, j, a):
         pair, pos = divmod(j, 2)
@@ -167,30 +161,25 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
                     R: float = 1.0, lam: float = 0.01) -> PolyVector:
     """Run `schedule` for k oracle calls with polynomial-valued iterates.
 
-    The degree budget is asserted after every oracle call, on the answer and
-    on the tracked point.  Returns the tracked point as a PolyVector with
+    The degree budget is asserted on every answer and, as the measure of the
+    per-call loop that `run` uses, on the tracked point after every step
+    that called the oracle.  Returns the tracked point as a PolyVector with
     budget k.
     """
     if not schedule.oblivious:
         raise ValueError(f"{schedule.name} is not declared oblivious; refusing to trace")
     engine = _sym_engine(family, n=n, d=d, L=L, mu=mu, R=R, lam=lam)
+    engine.rng = make_rng(seed)
     log = CallLog()
-    rng = make_rng(seed)
 
     def ask(point, query):
         out = answer(engine, point, query, log)
         _check_budget(out, family, log.total)
         return out
 
-    state = schedule.init_state(engine, rng)
-    _check_budget(state["w"], family, 0)
-    step_idx = 0
-    while log.total < k:
-        schedule.step(state, step_idx, rng, ask, engine)
-        step_idx += 1
-        _check_budget(state["w"], family, log.total)
-    out = state["w"]
-    return PolyVector(out.entries, budget=k)
+    state = _drive(schedule, engine, ask, lambda: log.total,
+                   lambda w: _check_budget(w, family, log.total), np.empty(k + 1, object))
+    return PolyVector(state["w"].entries, budget=k)
 
 
 def trace_gd_toy(k: int, L) -> UniPoly:

@@ -66,12 +66,12 @@ def test_gd_toy_worst_case_distance_sandwich():
     for i, eta in enumerate(etas):
         inst = toy_instance(eta, mu, L)
         engine = NumericEngine(inst)
-        rng = make_rng(0)
+        engine.rng = make_rng(0)
         ask = lambda point, query: answer(engine, point, query)
-        state = sched.init_state(engine, rng)
+        state = sched.init(engine)
         dists[i, 0] = abs(state["w"][0] - inst.minimizer[0])
         for k in range(K):
-            sched.step(state, k, rng, ask, engine)
+            sched.step(state, k, ask, engine)
             dists[i, k + 1] = abs(state["w"][0] - inst.minimizer[0])
     worst = dists.max(axis=0)
     rate = 1 - 2 / (1 + kappa)

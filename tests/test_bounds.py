@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lblab
 from lblab import bounds
 from lblab.bounds import (ProblemParams, RateEnvelope, chebyshev_lb_inf,
                           fsm_rate_envelope, identity_checks,
@@ -152,3 +156,13 @@ def test_smooth_delta_form_exposed():
     assert v > 0
     with pytest.raises(ValueError):
         bounds.smooth_bound_delta_form(1.0, 1e-3, 5.0)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only identity_checks integrates, so importing the CLI must not pay for it
+    src = os.path.dirname(os.path.dirname(lblab.__file__))
+    code = "import sys, lblab.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -120,6 +120,18 @@ def test_rlm_minimizer_matches_linear_solve():
     assert np.allclose(inst.dual_grad(inst.minimizer()), 0, atol=1e-12)
 
 
+def test_rlm_setup_is_computed_once():
+    # the blocks and the optimal value are fixed per instance, so every
+    # oracle call and suboptimality reads them instead of recomputing
+    n, lam = 20, 0.05
+    psis = np.random.default_rng(5).uniform(-math.pi / 2, math.pi / 2, size=n // 2)
+    inst = rlm_instance(psis, lam, n)
+    assert inst.blocks is inst.blocks
+    assert inst.optimal_value == inst.dual_value(inst.minimizer())
+    a = np.full(n, 0.1)
+    assert inst.suboptimality(a) == inst.dual_value(a) - inst.optimal_value
+
+
 def test_rlm_matvec_matches_dense():
     n, lam = 20, 0.05
     rng = np.random.default_rng(3)

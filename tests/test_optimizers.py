@@ -97,16 +97,16 @@ def test_audit_rejects_adaptive_schedule():
     # so a zeroed oracle changes the query stream
     n = 8
 
-    def init(engine, rng, p):
+    def init(engine):
         return {"w": engine.zero()}
 
-    def stp(state, k, rng, ask, engine, p):
+    def stp(state, k, ask, engine):
         g = ask(state["w"], FirstOrder(1.0, 0.0, 0))
         j = 1 if g[0] < 0 else n - 1
         g2 = ask(state["w"], FirstOrder(1.0, 0.0, j))
         state["w"] = state["w"] - (g + g2) * 1e-3
 
-    adaptive = Schedule("adaptive", True, 1, {}, init, stp, stochastic=False)
+    adaptive = Schedule("adaptive", True, 1, init, stp, stochastic=False)
     assert not audit_oblivious(adaptive, fsm(), 20)
 
 
@@ -135,7 +135,7 @@ def test_batched_curves_match_scalar_runs():
 def test_without_replacement_draws_permutation_blocks():
     n, iterations, seeds = 6, 40, 5
     engine = BatchedEngine(fsm(n=n), seeds, iterations, replacement=False)
-    draws = np.array([engine.draw(None, "n")[0] for _ in range(iterations)])
+    draws = np.array([engine.draw("n")[0] for _ in range(iterations)])
     for start in range(0, iterations, n):
         block = draws[start:start + n]
         assert all(len(set(block[:, s])) == len(block) for s in range(seeds))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lblab.instances import fsm_instance, rlm_instance, toy_instance
+from lblab.instances import (DenseSym, QuadraticInstance, fsm_instance,
+                             rlm_instance, toy_instance)
+from lblab.optimizers import BatchedDualEngine, BatchedEngine
 from lblab.oracles import (CallLog, DualExactCD, DualGradStep,
                            DualNumericEngine, FirstOrder, NumericEngine,
                            SteepestCD, answer)
@@ -130,3 +132,59 @@ def test_unknown_query_rejected():
     eng = fsm_engine()
     with pytest.raises(TypeError):
         answer(eng, np.zeros(4), object())
+
+
+def dense_instance(Qs):
+    """Components (1/2) w'Q_i w - q_i'w; the recorded minimizer only fixes d."""
+    d = Qs[0].shape[0]
+    comps = tuple((DenseSym(Q), np.linspace(-1.0, 1.0, d) * (i + 1)) for i, Q in enumerate(Qs))
+    return QuadraticInstance("dense", comps, MU, L, np.zeros(d), 0.0)
+
+
+def test_batched_engines_answer_like_scalar_engines():
+    # oracles.answer serves every engine: row s of a batched answer is the
+    # scalar engine's answer at row s's point and indices, bit for bit
+    seeds, n, d = 6, 5, 4
+    rng = np.random.default_rng(3)
+    fsm_inst = fsm_engine(seed=4, n=n, d=d).instance
+    Ms = rng.normal(size=(n, d, d))
+    dense = dense_instance([M @ M.T + np.eye(d) for M in Ms])
+    W = rng.normal(size=(seeds, d))
+    jv = rng.integers(n, size=seeds)
+    iv = np.array([0, 1, 2, 3, 1, 0])
+    c = rng.normal(size=d)
+
+    def check(engine, scalar, W, batched_query, row_query):
+        out = answer(engine, W, batched_query)
+        for s in range(seeds):
+            assert np.array_equal(out[s], answer(scalar, W[s], row_query(s))), (batched_query, s)
+
+    for inst in (fsm_inst, dense):
+        batched, scalar = BatchedEngine(inst, seeds, 1), NumericEngine(inst)
+        check(batched, scalar, W, FirstOrder(-0.3, 0.7, jv, c),
+              lambda s: FirstOrder(-0.3, 0.7, int(jv[s]), c))
+        check(batched, scalar, W, FirstOrder(1.0, 0.0, jv),
+              lambda s: FirstOrder(1.0, 0.0, int(jv[s])))
+        check(batched, scalar, W, SteepestCD(iv, jv),
+              lambda s: SteepestCD(int(iv[s]), int(jv[s])))
+
+    nd = 8
+    dual = rlm_instance(np.linspace(-1.2, 0.9, nd // 2), 0.05, nd)
+    batched, scalar = BatchedDualEngine(dual, seeds, 1), DualNumericEngine(dual)
+    A = rng.normal(size=(seeds, nd))
+    jd = rng.integers(nd, size=seeds)
+    check(batched, scalar, A, DualExactCD(jd), lambda s: DualExactCD(int(jd[s])))
+    check(batched, scalar, A, DualGradStep(0.3, jd), lambda s: DualGradStep(0.3, int(jd[s])))
+
+
+def test_zero_diagonal_raises_on_every_engine():
+    Q = np.array([[2.0, 0.5], [0.5, 0.0]])
+    inst = dense_instance([Q, Q])
+    with pytest.raises(ZeroDivisionError):
+        answer(NumericEngine(inst), np.ones(2), SteepestCD(1, 0))
+    batched = BatchedEngine(inst, 3, 1)
+    W = np.ones((3, 2))
+    out = answer(batched, W, SteepestCD(np.array([0, 0, 0]), np.array([0, 1, 0])))
+    assert np.all(out[:, 1] == 1.0)
+    with pytest.raises(ZeroDivisionError):
+        answer(batched, W, SteepestCD(np.array([0, 1, 0]), np.array([0, 1, 0])))

@@ -97,14 +97,14 @@ def test_trace_refuses_non_oblivious():
 def test_trace_catches_degree_cheating():
     # a schedule that squares its answer doubles the degree per call and
     # must trip the budget check
-    def init(engine, rng, p):
+    def init(engine):
         return {"w": engine.zero()}
 
-    def stp(state, k, rng, ask, engine, p):
+    def stp(state, k, ask, engine):
         a = ask(state["w"], FirstOrder(-0.25, 1.0, 0))
         state["w"] = a.with_entry(0, a.entries[0] * a.entries[0])
 
-    cheat = Schedule("cheat", True, 1, {}, init, stp, stochastic=False)
+    cheat = Schedule("cheat", True, 1, init, stp, stochastic=False)
     with pytest.raises(DegreeViolation):
         trace_oblivious(cheat, "toy", 4, L=4.0, mu=1.0)
 
