@@ -47,7 +47,6 @@ class Schedule:
 
     name: str
     oblivious: bool
-    p: int  # tracked points
     init: object
     step: object
     stochastic: bool = True
@@ -87,7 +86,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             return {"w": engine.zero()}
         def stp(state, k, ask, engine):
             state["w"] = engine.mean_grad(state["w"], ask, -gamma, 1.0)
-        return Schedule(name, True, 1, init, stp, stochastic=False)
+        return Schedule(name, True, init, stp, stochastic=False)
 
     if name == "agd":
         if kappa is None:
@@ -102,7 +101,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             y = w * (1 + beta) - wp * beta
             state["w_prev"] = w
             state["w"] = engine.mean_grad(y, ask, -gamma, 1.0)
-        return Schedule(name, True, 2, init, stp, stochastic=False)
+        return Schedule(name, True, init, stp, stochastic=False)
 
     if name == "hb":
         if kappa is None:
@@ -116,7 +115,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             w, wp = state["w"], state["w_prev"]
             state["w_prev"] = w
             state["w"] = engine.mean_grad(w, ask, -alpha, 1.0 + beta) - wp * beta
-        return Schedule(name, True, 2, init, stp, stochastic=False)
+        return Schedule(name, True, init, stp, stochastic=False)
 
     if name == "sgd":
         gamma = step if step is not None else 1.0 / (2 * L)
@@ -125,7 +124,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
         def stp(state, k, ask, engine):
             (j,) = engine.draw("n")
             state["w"] = ask(state["w"], FirstOrder(-gamma, 1.0, j))
-        return Schedule(name, True, 1, init, stp)
+        return Schedule(name, True, init, stp)
 
     if name == "sag":
         gamma = step if step is not None else 1.0 / (16 * L)
@@ -137,7 +136,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             state["gsum"] = state["gsum"] + (g - engine.gather(state["table"], j))
             engine.scatter(state["table"], j, g)
             state["w"] = state["w"] - state["gsum"] * (gamma / engine.n)
-        return Schedule(name, True, 1, init, stp)
+        return Schedule(name, True, init, stp)
 
     if name == "saga":
         gamma = step if step is not None else 1.0 / (3 * L)
@@ -151,7 +150,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             state["gsum"] = state["gsum"] + (g - old)
             engine.scatter(state["table"], j, g)
             state["w"] = state["w"] - upd * gamma
-        return Schedule(name, True, 1, init, stp)
+        return Schedule(name, True, init, stp)
 
     if name == "svrg":
         gamma = step if step is not None else 1.0 / (10 * L)
@@ -175,7 +174,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             state["inner"] += 1
             if state["inner"] >= state["m"]:
                 state["need_snapshot"] = True
-        return Schedule(name, True, 2, init, stp)
+        return Schedule(name, True, init, stp)
 
     if name == "sdca":
         def init(engine):
@@ -183,7 +182,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
         def stp(state, k, ask, engine):
             (j,) = engine.draw("n")
             state["w"] = ask(state["w"], DualExactCD(j))
-        return Schedule(name, True, 1, init, stp)
+        return Schedule(name, True, init, stp)
 
     if name == "sdca_primal":
         # dual-free SDCA: pseudo-dual vectors a_j with w = sum a_j/(mu n)
@@ -199,7 +198,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             v = g + old
             engine.scatter(state["table"], j, old - v * (eta * mu * engine.n))
             state["w"] = state["w"] - v * eta
-        return Schedule(name, True, 1, init, stp)
+        return Schedule(name, True, init, stp)
 
     if name in ("cd_cyclic", "cd_random"):
         cyclic = name == "cd_cyclic"
@@ -212,7 +211,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             else:
                 i, j = engine.draw("d", "n")
             state["w"] = ask(state["w"], SteepestCD(i, j))
-        return Schedule(name, True, 1, init, stp, stochastic=not cyclic)
+        return Schedule(name, True, init, stp, stochastic=not cyclic)
 
     if name == "lbfgs":
         def init(engine):
@@ -249,7 +248,7 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
             if len(state["S"]) > memory:
                 state["S"].pop(0)
                 state["Y"].pop(0)
-        return Schedule(name, False, 1, init, stp, stochastic=False)
+        return Schedule(name, False, init, stp, stochastic=False)
 
     raise AssertionError("unreachable")
 

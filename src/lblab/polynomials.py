@@ -1,9 +1,12 @@
 """Exact rational polynomial arithmetic.
 
-Univariate polynomials are dense, multivariate ones are sparse exponent maps.
-Coefficients are `fractions.Fraction` throughout so that degree bookkeeping is
-exact: a floating-point representation would manufacture tiny spurious terms
-and break the degree assertions made by the symbolic tracer.
+Univariate polynomials are dense with `fractions.Fraction` coefficients.
+Multivariate ones are sparse exponent maps holding integer numerators over one
+shared denominator, which keeps their arithmetic exact under any rational
+divisor while costing one gcd per result rather than one per term.  Exact
+coefficients keep the degree bookkeeping exact: a floating-point
+representation would manufacture tiny spurious terms and break the degree
+assertions made by the symbolic tracer.
 
 Also provides second-kind Chebyshev polynomials, their zeros, and the signed
 moments of sgn(U_k), which are the orthogonality workhorse behind the
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Mapping
 from fractions import Fraction
 
 import mpmath
@@ -126,14 +131,41 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)})"
 
 
+class _Terms(Mapping):
+    """Read-only view of a MultiPoly's terms: exponent tuple -> Fraction."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, exp) -> Fraction:
+        return Fraction(self._nums[exp], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class MultiPoly:
     """Sparse multivariate polynomial: exponent tuple -> rational coefficient.
 
-    Zero coefficients are never stored.  Total degree is the maximal sum of
-    exponents over stored terms.
+    The coefficients are integer numerators over one shared positive
+    denominator, in lowest terms: the gcd of the denominator and all the
+    numerators is 1.  The form is canonical, so equality compares it
+    directly, and an arithmetic result costs one gcd instead of one per
+    term.  Zero coefficients are never stored, and the terms keep their
+    insertion order.  Total degree is the maximal sum of exponents over
+    stored terms.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_nums", "_den")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = int(nvars)
@@ -146,7 +178,24 @@ class MultiPoly:
             if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent tuple {exp} for {self.nvars} variables")
             clean[exp] = clean.get(exp, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        clean = {e: c for e, c in clean.items() if c != 0}
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        self._den = math.lcm(*(c.denominator for c in clean.values()))
+        self._nums = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
+
+    @classmethod
+    def _new(cls, nvars, nums, den) -> "MultiPoly":
+        """Unchecked constructor for arithmetic results: `nums` holds no zero
+        and `den` > 0; the fraction is reduced here."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p._nums = nums
+        p._den = den
+        return p
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
@@ -158,22 +207,26 @@ class MultiPoly:
         exp[i] = 1
         return cls(nvars, {tuple(exp): 1})
 
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self._nums, self._den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     @property
     def total_degree(self):
-        if not self.terms:
+        if not self._nums:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._nums))
 
     def degree_in(self, i: int):
-        if not self.terms:
+        if not self._nums:
             return NEG_INF
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self._nums.get((0,) * self.nvars, 0), self._den)
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -184,44 +237,60 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other: self's terms in order, then other's new ones."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        out = dict(self._nums) if ma == 1 else {e: n * ma for e, n in self._nums.items()}
+        get = out.get
+        for e, n in other._nums.items():
+            out[e] = get(e, 0) + n * mb
+        if 0 in out.values():
+            out = {e: n for e, n in out.items() if n}
+        return MultiPoly._new(self.nvars, out, da * ma)
 
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return MultiPoly._new(self.nvars, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         self._check(other)
         out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return MultiPoly(self.nvars, out)
+        get = out.get
+        for ea, na in self._nums.items():
+            for eb, nb in other._nums.items():
+                e = tuple(map(operator.add, ea, eb))
+                out[e] = get(e, 0) + na * nb
+        if 0 in out.values():
+            out = {e: n for e, n in out.items() if n}
+        return MultiPoly._new(self.nvars, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, r) -> "MultiPoly":
         r = _frac(r)
-        return MultiPoly(self.nvars, {e: c * r for e, c in self.terms.items()})
+        num = r.numerator
+        if not num:
+            return MultiPoly._new(self.nvars, {}, 1)
+        return MultiPoly._new(self.nvars, {e: n * num for e, n in self._nums.items()},
+                              self._den * r.denominator)
 
     def __truediv__(self, r):
         # exact: scale by the rational reciprocal
@@ -230,9 +299,15 @@ class MultiPoly:
     def __call__(self, point):
         if len(point) != self.nvars:
             raise ValueError("point length != indeterminate count")
+        # A Fraction times a float is float(c) * x, and n / den is float(c)
+        # correctly rounded, so float points need no Fraction per term.
+        # Other points, and a lone constant (returned as is), take Fractions.
+        nums, den = self._nums, self._den
+        exact = (not all(isinstance(x, float) for x in point)
+                 or (len(nums) == 1 and (0,) * self.nvars in nums))
         acc = None
-        for e, c in self.terms.items():
-            t = c
+        for e, n in nums.items():
+            t = Fraction(n, den) if exact else n / den
             for x, p in zip(point, e):
                 for _ in range(p):
                     t = t * x
@@ -244,7 +319,7 @@ class MultiPoly:
     def to_uni(self) -> UniPoly:
         if self.nvars != 1:
             raise ValueError("not univariate")
-        n = max((e[0] for e in self.terms), default=-1)
+        n = max((e[0] for e in self._nums), default=-1)
         cs = [Fraction(0)] * (n + 1)
         for e, c in self.terms.items():
             cs[e[0]] = c
@@ -405,10 +480,16 @@ def sgn_chebyshev_moment(j: int, k: int, dps: int = 50):
 def poly_to_json(p) -> str:
     if isinstance(p, UniPoly):
         p = p.to_multi()
-    terms = [
-        {"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-        for e, c in sorted(p.terms.items())
-    ]
+    # each coefficient in lowest terms, as a Fraction prints; the tracer's
+    # coefficients are dyadic, and gcd(n, 2**j) is the lowest set bit of n
+    # capped at 2**j
+    nums, den = p._nums, p._den
+    dyadic = not den & (den - 1)
+    terms = []
+    for e in sorted(nums):
+        n = nums[e]
+        g = min(n & -n, den) if dyadic else math.gcd(n, den)
+        terms.append({"exp": list(e), "num": str(n // g), "den": str(den // g)})
     return json.dumps({"vars": p.nvars, "terms": terms})
 
 

@@ -187,7 +187,7 @@ def trace_gd_toy(k: int, L) -> UniPoly:
     symbolically from w = 0: w <- (1 - eta/L) w + 1/L, k times."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    Lf = Fraction(L) if not isinstance(L, float) else Fraction(L)
+    Lf = Fraction(L)
     one_minus = UniPoly([1, -1 / Lf])
     w = UniPoly()
     invL = UniPoly([1 / Lf])

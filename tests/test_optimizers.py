@@ -106,7 +106,7 @@ def test_audit_rejects_adaptive_schedule():
         g2 = ask(state["w"], FirstOrder(1.0, 0.0, j))
         state["w"] = state["w"] - (g + g2) * 1e-3
 
-    adaptive = Schedule("adaptive", True, 1, init, stp, stochastic=False)
+    adaptive = Schedule("adaptive", True, init, stp, stochastic=False)
     assert not audit_oblivious(adaptive, fsm(), 20)
 
 

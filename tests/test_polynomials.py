@@ -1,6 +1,8 @@
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,3 +139,148 @@ def test_polyvector_degree_measures():
     # per-variable: max degree in x is 2, in y is 1
     assert v.variable_degree_sum() == 3
     assert len(v) == 3
+
+
+# ---------------------------------------------------------------------------
+# The shared-denominator representation behind the unchanged MultiPoly API
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_eval(terms, point):
+    # the per-term Fraction evaluation: c * x * x * ..., summed in term order
+    acc = None
+    for e, c in terms.items():
+        t = c
+        for x, p in zip(point, e):
+            for _ in range(p):
+                t = t * x
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def _same_value(got, ref):
+    # the same double, bit for bit; a float and a numpy float64 may swap
+    # places, since numpy hands a mixed sum with a Fraction to Fraction
+    if isinstance(ref, float):
+        assert isinstance(got, float)
+        assert float(got).hex() == float(ref).hex()
+    else:
+        assert type(got) is type(ref)
+        assert got == ref
+
+
+raw_terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2),
+                            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                            max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_terms, raw_terms, st.fractions(min_value=-4, max_value=4, max_denominator=9))
+def test_arithmetic_matches_fraction_dict_reference(ta, tb, r):
+    a, b = MultiPoly(2, ta), MultiPoly(2, tb)
+    ra = {e: c for e, c in ta.items() if c}
+    rb = {e: c for e, c in tb.items() if c}
+    # list equality also pins the term order, which evaluation sums in
+    assert list(a.terms.items()) == list(ra.items())
+    assert list((a + b).terms.items()) == list(_ref_add(ra, rb).items())
+    assert list((a - b).terms.items()) == list(_ref_add(ra, rb, -1).items())
+    assert list((a * b).terms.items()) == list(_ref_mul(ra, rb).items())
+    assert list(a.scale(r).terms.items()) == [(e, c * r) for e, c in ra.items() if c * r]
+    assert list((-a).terms.items()) == [(e, -c) for e, c in ra.items()]
+
+
+def test_canonical_form_across_routes():
+    p = MultiPoly(2, {(0, 0): Fraction(5, 4), (1, 0): -2, (0, 3): Fraction(1, 6)})
+    routes = [(p / 3) * 3, p * Fraction(2, 6) * 3, (p + p) / 2, p * 7 - p * 6,
+              (p / Fraction(10, 3)).scale(Fraction(10, 3)), p + MultiPoly(2, {}) * p]
+    for q in routes:
+        assert q == p
+        assert hash(q) == hash(p)
+    assert p * Fraction(2, 6) == p / 3
+    assert hash(p * Fraction(2, 6)) == hash(p / 3)
+    assert p - p == MultiPoly(2, {}) == 0
+    assert hash(p - p) == hash(MultiPoly(2, {}))
+
+
+def test_exact_division_by_non_dyadic_values_round_trips():
+    x, y = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
+    p = x * x * Fraction(3, 8) - y + Fraction(1, 5)
+    for r in (3, Fraction(7, 3), Fraction(-11, 10), 0.1):
+        q = p / r
+        assert q * r == p
+        for e, c in p.terms.items():
+            assert q.terms[e] == c / Fraction(r)
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+
+
+def test_constant_term_is_a_fraction():
+    x = MultiPoly.var(2, 0)
+    for p, want in ((x / 3 + Fraction(2, 6), Fraction(1, 3)), (x * 5, Fraction(0)),
+                    (MultiPoly(2, {}), Fraction(0)), (MultiPoly.constant(2, 4) / 6, Fraction(2, 3))):
+        c = p.constant_term()
+        assert type(c) is Fraction
+        assert c == want
+
+
+@pytest.mark.parametrize("p", [
+    MultiPoly(3, {(0, 0, 0): Fraction(-1, 3), (2, 1, 0): Fraction(7, 10),
+                  (0, 0, 4): Fraction(5, 14), (1, 1, 1): 6}) / 9,
+    # dyadic: one term's numerator carries more factors of two than the denominator
+    MultiPoly(3, {(0, 0, 0): Fraction(-3, 2 ** 70), (1, 0, 0): 12, (0, 2, 0): Fraction(5, 8)}),
+    MultiPoly(3, {(0, 1, 0): -7}),
+], ids=["non_dyadic", "dyadic", "integer"])
+def test_serialization_roundtrip_exact(p):
+    s = poly_to_json(p)
+    assert poly_from_json(s) == p
+    # each term prints in lowest terms, as the Fraction does
+    terms = json.loads(s)["terms"]
+    assert len(terms) == len(p.terms)
+    for t in terms:
+        c = p.terms[tuple(t["exp"])]
+        assert (t["num"], t["den"]) == (str(c.numerator), str(c.denominator))
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_terms, st.integers(0, 60), st.tuples(*[st.floats(-3, 3, allow_nan=False)] * 2))
+def test_float_evaluation_matches_fraction_reference(ta, j, point):
+    # large j puts numerators and denominator beyond 2**53, where only a
+    # correctly rounded n / den matches float(c)
+    p = MultiPoly(2, ta).scale(Fraction(2 ** 60 + 1, 3 ** j))
+    for pt in (point, tuple(np.float64(x) for x in point)):
+        ref = _ref_eval(p.terms, pt)
+        if ref is None:
+            assert p(pt) == 0.0
+        else:
+            _same_value(p(pt), ref)
+    # exact points stay exact
+    fpoint = (Fraction(1, 3), Fraction(-2))
+    assert p(fpoint) == (_ref_eval(p.terms, fpoint) or 0)
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        MultiPoly(2, {(1, 0): "1"})
+    # zero coefficients are dropped and exponents become int tuples
+    p = MultiPoly(2, {(np.int64(1), 2.0): Fraction(1, 2), (0, 0): 0})
+    assert list(p.terms.items()) == [((1, 2), Fraction(1, 2))]
+    assert all(type(x) is int for e in p.terms for x in e)

@@ -13,8 +13,6 @@ import pytest
 from lblab import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-# About 5 s on its own; the benchmark's symbolic workload checks it every pass.
-SLOW = {"symbolic/trace_sag_fsm"}
 
 
 def pinned_commands():
@@ -24,7 +22,7 @@ def pinned_commands():
     for name in workloads["NAMES"]:
         for cmd in workloads["build"](name, refs["default_seed"]).commands:
             key = f"{name}/{cmd.key}"
-            if cmd.check == "sha256" and key not in SLOW:
+            if cmd.check == "sha256":
                 yield pytest.param(cmd.argv, refs["commands"][key]["sha256"], id=key)
 
 

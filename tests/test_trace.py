@@ -104,7 +104,7 @@ def test_trace_catches_degree_cheating():
         a = ask(state["w"], FirstOrder(-0.25, 1.0, 0))
         state["w"] = a.with_entry(0, a.entries[0] * a.entries[0])
 
-    cheat = Schedule("cheat", True, 1, init, stp, stochastic=False)
+    cheat = Schedule("cheat", True, init, stp, stochastic=False)
     with pytest.raises(DegreeViolation):
         trace_oblivious(cheat, "toy", 4, L=4.0, mu=1.0)
 
