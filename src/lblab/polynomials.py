@@ -301,10 +301,9 @@ class MultiPoly:
             raise ValueError("point length != indeterminate count")
         # A Fraction times a float is float(c) * x, and n / den is float(c)
         # correctly rounded, so float points need no Fraction per term.
-        # Other points, and a lone constant (returned as is), take Fractions.
+        # Other points take Fractions.
         nums, den = self._nums, self._den
-        exact = (not all(isinstance(x, float) for x in point)
-                 or (len(nums) == 1 and (0,) * self.nvars in nums))
+        exact = not all(isinstance(x, float) for x in point)
         acc = None
         for e, n in nums.items():
             t = Fraction(n, den) if exact else n / den
@@ -480,15 +479,12 @@ def sgn_chebyshev_moment(j: int, k: int, dps: int = 50):
 def poly_to_json(p) -> str:
     if isinstance(p, UniPoly):
         p = p.to_multi()
-    # each coefficient in lowest terms, as a Fraction prints; the tracer's
-    # coefficients are dyadic, and gcd(n, 2**j) is the lowest set bit of n
-    # capped at 2**j
+    # each coefficient in lowest terms, as a Fraction prints
     nums, den = p._nums, p._den
-    dyadic = not den & (den - 1)
     terms = []
     for e in sorted(nums):
         n = nums[e]
-        g = min(n & -n, den) if dyadic else math.gcd(n, den)
+        g = math.gcd(n, den)
         terms.append({"exp": list(e), "num": str(n // g), "den": str(den // g)})
     return json.dumps({"vars": p.nvars, "terms": terms})
 
