@@ -6,7 +6,7 @@ traces, closed-form bounds) and a Monte-Carlo side (optimizer schedules,
 worst-case curves, envelope audits); the CLI in `lblab.cli` drives both.
 """
 
-from .bounds import (ProblemParams, RateEnvelope, TheoremBound, chebyshev_lb_inf,
+from .bounds import (ProblemParams, TheoremBound, chebyshev_lb_inf,
                      fsm_rate_envelope, identity_checks, iteration_lb_from_rate,
                      l1_lb, l2_weighted_exact, l2_weighted_lb, maxnorm_lb,
                      theorem_bounds)
@@ -18,8 +18,7 @@ from .instances import (QuadraticInstance, RlmInstance, fsm_instance,
 from .optimizers import (OPTIMIZER_NAMES, RunRecord, Schedule, audit_oblivious,
                          expected_error_curve, make_optimizer, run)
 from .polynomials import (MultiPoly, PolyVector, UniPoly, chebyshev_U,
-                          chebyshev_U_zeros, poly_arith, poly_eval,
-                          poly_from_json, poly_to_json)
+                          chebyshev_U_zeros, poly_from_json, poly_to_json)
 from .trace import fig2_data, trace_gd_toy, trace_oblivious, trace_sup_error
 
 __version__ = "0.1.0"

@@ -9,27 +9,9 @@ identity checks hold out to u ~ 1e6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RateEnvelope:
-    """Geometric envelope prefactor * ratio**(k * per_iteration_exponent)."""
-
-    prefactor: float
-    ratio: float
-    per_iteration_exponent: float = 1.0
-
-    def __post_init__(self):
-        if not (0 <= self.ratio < 1):
-            raise ValueError("ratio must be in [0, 1)")
-        if self.prefactor <= 0 or self.per_iteration_exponent <= 0:
-            raise ValueError("prefactor and exponent must be positive")
-
-    def __call__(self, k):
-        return self.prefactor * self.ratio ** (np.asarray(k, dtype=float) * self.per_iteration_exponent)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,22 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness
+from . import harness, trace
 from .harness import EXIT_CONFIG, EXIT_OK, ConfigError
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or value as a ConfigError, so it takes the same
+    exit-3 path as every other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_common(p):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--family", choices=("toy", "fsm", "smooth", "rlm", "nesterov_chain"))
+    p.add_argument("--family", choices=sorted(set(harness.FAMILIES) | set(trace.FAMILIES)))
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--kappa", type=float, help="condition number; sets L = kappa * mu")
@@ -35,13 +43,12 @@ def _config(args):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="lblab")
+    parser = _Parser(prog="lblab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="tabulate an analytic lower bound as k,bound")
     _add_common(p)
-    p.add_argument("--formula", default="maxnorm",
-                   choices=("chebyshev_inf", "maxnorm", "l1", "l2", "fsm_envelope"))
+    p.add_argument("--formula", default="maxnorm", choices=harness.FORMULAS)
     p.add_argument("--kmax", type=int, default=20)
 
     p = sub.add_parser("approx-check", help="analytic bounds vs brute-force optima")
@@ -76,8 +83,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-all", help="full invariant suite")
     p.add_argument("--full", action="store_true", help="no quick-mode shortcuts")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "verify-all":
             checks = harness.verify_all(quick=not args.full)
             sys.stdout.write(harness.verify_report(checks))
@@ -114,7 +121,7 @@ def main(argv=None) -> int:
         if args.out is None:
             sys.stdout.write(out)
         return EXIT_OK
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, and bad values the library rejects
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
 

@@ -110,18 +110,23 @@ def worker_count() -> int:
     return 1
 
 
+def _write(path, text):
+    """Write `text` to `path` (creating its directory) unless path is None;
+    returns `text`."""
+    if path is not None:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
 def write_csv(path, header_cols, rows, cfg_hash, units=""):
     buf = io.StringIO()
     buf.write(f"# config_hash={cfg_hash} units={units}\n")
     buf.write(",".join(header_cols) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
-    data = buf.getvalue()
-    if path is not None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(data)
-    return data
+    return _write(path, buf.getvalue())
 
 
 def _fmt(v):
@@ -162,35 +167,11 @@ def write_svg(path, curves, title="", logy=True, width=640, height=420):
         parts.append(f'<text x="{width-pad+4}" y="{pad+16*ci+12}" fill="{col}" '
                      f'font-size="11">{label}</text>')
     parts.append("</svg>")
-    data = "\n".join(parts)
-    if path is not None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(data)
-    return data
+    return _write(path, "\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
 # command bodies
-
-
-def bounds_table(formula: str, cfg: ExperimentConfig, kmax: int):
-    rows = []
-    for k in range(kmax + 1):
-        if formula == "chebyshev_inf":
-            v = bounds.chebyshev_lb_inf(2.0, k)
-        elif formula == "maxnorm":
-            v = bounds.maxnorm_lb(cfg.mu, cfg.L, 0.0, k)
-        elif formula == "l1":
-            v = bounds.l1_lb(cfg.L, cfg.mu, (cfg.L + cfg.mu) / 2, k)
-        elif formula == "l2":
-            v = bounds.l2_weighted_lb(-0.5, k)
-        elif formula == "fsm_envelope":
-            v = FAMILIES["fsm"].envelope(cfg, k)
-        else:
-            raise ConfigError(f"unknown formula {formula!r}")
-        rows.append([k, float(v)])
-    return rows
 
 
 def envelope_prefactor(cfg: ExperimentConfig) -> float:
@@ -245,22 +226,25 @@ FAMILIES = {
         lambda cfg, k: bounds.rlm_rate_envelope(cfg.lam, cfg.n, k)),
 }
 
+# The `bounds` command's formulas: name -> (cfg, k) -> bound at degree k.
+FORMULAS = {
+    "chebyshev_inf": lambda cfg, k: bounds.chebyshev_lb_inf(2.0, k),
+    "maxnorm": lambda cfg, k: bounds.maxnorm_lb(cfg.mu, cfg.L, 0.0, k),
+    "l1": lambda cfg, k: bounds.l1_lb(cfg.L, cfg.mu, (cfg.L + cfg.mu) / 2, k),
+    "l2": lambda cfg, k: bounds.l2_weighted_lb(-0.5, k),
+    "fsm_envelope": FAMILIES["fsm"].envelope,
+}
+
+
+def bounds_table(formula: str, cfg: ExperimentConfig, kmax: int):
+    return [[k, float(FORMULAS[formula](cfg, k))] for k in range(kmax + 1)]
+
 
 def _schedule(cfg: ExperimentConfig, name: str, family: str):
     """The named schedule, checked against the oracle family it will run on."""
-    try:
-        sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, n=cfg.n)
-        optimizers.check_family(sched, family == "rlm")
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, n=cfg.n)
+    optimizers.check_family(sched, family == "rlm")
     return sched
-
-
-def _instance(cfg: ExperimentConfig, family: str, param):
-    try:
-        return FAMILIES[family].instance(cfg, param)
-    except ValueError as e:
-        raise ConfigError(f"{family} instance: {e}") from e
 
 
 def _grid_and_factory(cfg: ExperimentConfig):
@@ -268,9 +252,10 @@ def _grid_and_factory(cfg: ExperimentConfig):
     first grid point is built here, so that bad input fails before any run."""
     if cfg.family not in FAMILIES:
         raise ConfigError(f"family {cfg.family!r} has no instance grid")
-    grid = FAMILIES[cfg.family].grid(cfg)
-    _instance(cfg, cfg.family, grid[0])
-    return grid, lambda param: _instance(cfg, cfg.family, param)
+    family = FAMILIES[cfg.family]
+    grid = family.grid(cfg)
+    family.instance(cfg, grid[0])
+    return grid, lambda param: family.instance(cfg, param)
 
 
 def envelope_curves(cfg: ExperimentConfig):
@@ -394,19 +379,14 @@ def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0, out=None):
         kwargs.update(n=1, d=1)
     vec = trace.trace_oblivious(sched, fam, k, seed=seed, **kwargs)
     lines = [polynomials.poly_to_json(e) for e in vec.entries]
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text)
-    return text
+    return _write(out, "\n".join(lines) + "\n")
 
 
 def cmd_sampling_compare(cfg: ExperimentConfig, out=None):
     """With- vs without-replacement component sampling for SAG on the fsm
     family; reported, not asserted."""
     eta = (cfg.L - cfg.mu) / 2
-    inst = _instance(cfg, "fsm", -eta)
+    inst = FAMILIES["fsm"].instance(cfg, -eta)
     sched = _schedule(cfg, "sag", "fsm")
     with_rep = optimizers.batched_curves(sched, inst, cfg.iterations, cfg.seeds).mean(axis=0)
     without = optimizers.batched_curves(sched, inst, cfg.iterations, cfg.seeds,

@@ -8,9 +8,8 @@ what keeps the large-dimension benchmark runs cheap.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -86,13 +85,11 @@ class QuadraticInstance:
     mu and L certify the per-component spectral sandwich mu I <= Q_i <= L I.
     """
 
-    family: str
     components: tuple  # of (matrix structure, q vector)
     mu: float
     L: float
     minimizer: np.ndarray
     optimal_value: float
-    params: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -133,18 +130,8 @@ class QuadraticInstance:
             s += q
         return s / self.n
 
-    def describe(self) -> str:
-        return json.dumps({"family": self.family, **{k: _jsonable(v) for k, v in self.params.items()}},
-                          sort_keys=True)
 
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
-
-
-def _finish(family, comps, mu, L, params) -> QuadraticInstance:
+def _finish(comps, mu, L) -> QuadraticInstance:
     d = len(comps[0][1])
     A = np.zeros((d, d))
     s = np.zeros(d)
@@ -155,7 +142,7 @@ def _finish(family, comps, mu, L, params) -> QuadraticInstance:
     s /= len(comps)
     w = np.linalg.solve(A, s)
     opt = 0.5 * float(w @ A @ w) - float(s @ w)
-    return QuadraticInstance(family, tuple(comps), mu, L, w, opt, params)
+    return QuadraticInstance(tuple(comps), mu, L, w, opt)
 
 
 def toy_instance(eta: float, mu: float, L: float) -> QuadraticInstance:
@@ -163,8 +150,7 @@ def toy_instance(eta: float, mu: float, L: float) -> QuadraticInstance:
     if not (mu <= eta <= L):
         raise ValueError("eta must lie in [mu, L]")
     comp = (DenseSym(np.array([[float(eta)]])), np.array([1.0]))
-    return QuadraticInstance("toy", (comp,), mu, L, np.array([1.0 / eta]),
-                             -0.5 / eta, {"eta": eta, "mu": mu, "L": L})
+    return QuadraticInstance((comp,), mu, L, np.array([1.0 / eta]), -0.5 / eta)
 
 
 def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstance:
@@ -184,7 +170,7 @@ def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstan
     q = np.zeros(d)
     q[0] = q[1] = R * mu / math.sqrt(2)
     comps = [(Block2Diag(d, h, float(e), mu), q) for e in etas]
-    inst = _finish("fsm", comps, mu, L, {"etas": etas, "L": L, "mu": mu, "R": R, "d": d})
+    inst = _finish(comps, mu, L)
     closed = fsm_minimizer(etas, L, mu, R, d)
     assert np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed))
     return inst
@@ -220,8 +206,7 @@ def smooth_instance(eta: float, R: float, d: int, L: float) -> QuadraticInstance
     comp = (DenseSym(np.eye(d) * eta), q)
     w = np.zeros(d)
     w[0] = R
-    return QuadraticInstance("smooth", (comp,), eta, eta, w, -0.5 * R * R * eta,
-                             {"eta": eta, "R": R, "d": d, "L": L})
+    return QuadraticInstance((comp,), eta, eta, w, -0.5 * R * R * eta)
 
 
 def nesterov_chain(d: int, L: float, mu: float) -> QuadraticInstance:
@@ -244,8 +229,7 @@ def nesterov_chain(d: int, L: float, mu: float) -> QuadraticInstance:
     Q = a * M + b * np.eye(d)
     q = np.zeros(d)
     q[0] = a  # the -2 w_1 term, scaled with M
-    return _finish("nesterov_chain", [(DenseSym(Q), q)], mu, L,
-                   {"d": d, "L": L, "mu": mu})
+    return _finish([(DenseSym(Q), q)], mu, L)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +308,6 @@ class RlmInstance:
         X = self.data_matrix()
         r = X.T @ w + 1.0
         return 0.5 * float(r @ r) / self.n + 0.5 * self.lam * float(w @ w)
-
-    def describe(self) -> str:
-        return json.dumps({"family": "rlm", "psis": self.psis.tolist(),
-                           "lam": self.lam, "n": self.n}, sort_keys=True)
 
 
 def rlm_instance(psis, lam: float, n: int) -> RlmInstance:

@@ -516,12 +516,10 @@ def batched_curves(schedule: Schedule, instance, iterations: int, seeds: int,
 
 @dataclass
 class WorstCaseCurve:
-    name: str
     k: np.ndarray
     worst_mean: np.ndarray
     stderr: np.ndarray
     worst_param: np.ndarray
-    seeds: int
 
     def lower_confidence(self, nsigma: float = 3.0) -> np.ndarray:
         return self.worst_mean - nsigma * self.stderr
@@ -554,10 +552,8 @@ def expected_error_curve(schedule: Schedule, instance_factory, grid, iterations:
     worst_idx = np.argmax(means, axis=0)
     cols = np.arange(iterations + 1)
     return WorstCaseCurve(
-        name=schedule.name,
         k=cols,
         worst_mean=means[worst_idx, cols],
         stderr=errs[worst_idx, cols],
         worst_param=np.asarray(grid, dtype=object)[worst_idx],
-        seeds=eff_seeds,
     )

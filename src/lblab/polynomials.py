@@ -51,20 +51,9 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls([0, 1])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __call__(self, x):
         # Horner; exact when x is a Fraction or int.
@@ -74,8 +63,6 @@ class UniPoly:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -114,15 +101,6 @@ class UniPoly:
     def scale(self, r) -> "UniPoly":
         r = _frac(r)
         return UniPoly([c * r for c in self.coeffs])
-
-    def affine_compose(self, alpha, beta) -> "UniPoly":
-        """Return p(alpha*eta + beta), same degree when alpha != 0."""
-        alpha, beta = _frac(alpha), _frac(beta)
-        lin = UniPoly([beta, alpha])
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
 
     def to_multi(self) -> "MultiPoly":
         return MultiPoly(1, {(i,): c for i, c in enumerate(self.coeffs) if c})
@@ -211,9 +189,6 @@ class MultiPoly:
     def terms(self) -> Mapping:
         return _Terms(self._nums, self._den)
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     @property
     def total_degree(self):
         if not self._nums:
@@ -233,8 +208,6 @@ class MultiPoly:
             raise ValueError("indeterminate-count mismatch")
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (self.nvars == other.nvars and self._den == other._den
@@ -315,44 +288,8 @@ class MultiPoly:
             return Fraction(0) if all(isinstance(x, (int, Fraction)) for x in point) else 0.0
         return acc
 
-    def to_uni(self) -> UniPoly:
-        if self.nvars != 1:
-            raise ValueError("not univariate")
-        n = max((e[0] for e in self._nums), default=-1)
-        cs = [Fraction(0)] * (n + 1)
-        for e, c in self.terms.items():
-            cs[e[0]] = c
-        return UniPoly(cs)
-
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms})"
-
-
-def poly_arith(a, b=None, op="add", r=None, alpha=None, beta=None):
-    """Single entry point for the arithmetic kernel.
-
-    op in {"add", "mul", "scale", "affine_compose"}.  scale takes r;
-    affine_compose takes (alpha, beta) and requires a univariate input.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(r)
-    if op == "affine_compose":
-        if isinstance(a, MultiPoly):
-            a = a.to_uni()
-        return a.affine_compose(alpha, beta)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_eval(p, point):
-    if isinstance(p, UniPoly):
-        if len(point) != 1:
-            raise ValueError("point length != indeterminate count")
-        return p(point[0])
-    return p(point)
 
 
 class PolyVector:

@@ -168,6 +168,8 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
     """
     if not schedule.oblivious:
         raise ValueError(f"{schedule.name} is not declared oblivious; refusing to trace")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     engine = _sym_engine(family, n=n, d=d, L=L, mu=mu, R=R, lam=lam)
     engine.rng = make_rng(seed)
     log = CallLog()

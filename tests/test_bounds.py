@@ -3,12 +3,11 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import lblab
 from lblab import bounds
-from lblab.bounds import (ProblemParams, RateEnvelope, chebyshev_lb_inf,
+from lblab.bounds import (ProblemParams, chebyshev_lb_inf,
                           fsm_rate_envelope, identity_checks,
                           iteration_lb_from_rate, l1_lb, l2_weighted_exact,
                           l2_weighted_lb, maxnorm_lb, theorem_bounds)
@@ -75,15 +74,6 @@ def test_fsm_rate_envelope():
         assert fsm_rate_envelope(kappa, 1, k, 2.0) == pytest.approx(2.0 * single ** k)
     assert fsm_rate_envelope(1.0, 4, 3, 1.0) == 0.0
     assert fsm_rate_envelope(101.0, 100, 100, 1.0) == pytest.approx(3 - 2 * math.sqrt(2), rel=1e-12)
-
-
-def test_rate_envelope_type():
-    env = RateEnvelope(prefactor=2.0, ratio=0.5, per_iteration_exponent=0.5)
-    ks = np.arange(10)
-    vals = env(ks)
-    assert np.all(np.diff(vals) < 0)
-    with pytest.raises(ValueError):
-        RateEnvelope(prefactor=1.0, ratio=1.0)
 
 
 def test_iteration_lb_from_rate():

@@ -188,6 +188,13 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
     ["run", "--opt", "cd_random", "--family", "rlm"],
     ["trace", "--opt", "lbfgs", "--family", "fsm"],
     ["envelope", "--family", "fsm", "--n", "0"],
+    ["run", "--opt", "sag", "--family", "foo"],
+    ["run", "--opt", "sag", "--n", "abc"],
+    ["bounds", "--formula", "l1", "--kappa", "0.5"],
+    ["bounds", "--formula", "fsm_envelope", "--kappa", "0.5"],
+    ["fig1", "--d", "1"],
+    ["approx-check", "--kmax", "1", "--grid", "1"],
+    ["trace", "--opt", "sgd", "--k", "-1"],
 ])
 def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
     assert cli.main(argv) == EXIT_CONFIG

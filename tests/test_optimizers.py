@@ -192,11 +192,13 @@ def test_expected_error_curve_shapes():
                                  grid, 30, seeds=10)
     assert curve.worst_mean.shape == (31,)
     assert np.all(curve.lower_confidence() <= curve.worst_mean)
-    assert curve.seeds == 10
+    # the worst mean over the grid of ten seeds' batched curves
+    means = [batched_curves(sched, fsm_instance(np.full(8, e), L, MU, R, 4), 30, 10).mean(axis=0)
+             for e in grid]
+    assert np.array_equal(curve.worst_mean, np.max(means, axis=0))
     det = make_optimizer("gd", L=L, mu=MU, n=8)
     dcurve = expected_error_curve(det, lambda e: fsm_instance(np.full(8, e), L, MU, R, 4),
                                   grid, 30, seeds=10)
-    assert dcurve.seeds == 1
     assert np.all(dcurve.stderr == 0)
 
 

@@ -138,7 +138,7 @@ def dense_instance(Qs):
     """Components (1/2) w'Q_i w - q_i'w; the recorded minimizer only fixes d."""
     d = Qs[0].shape[0]
     comps = tuple((DenseSym(Q), np.linspace(-1.0, 1.0, d) * (i + 1)) for i, Q in enumerate(Qs))
-    return QuadraticInstance("dense", comps, MU, L, np.zeros(d), 0.0)
+    return QuadraticInstance(comps, MU, L, np.zeros(d), 0.0)
 
 
 def test_batched_engines_answer_like_scalar_engines():
