@@ -16,11 +16,18 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy.optimize import linprog
 
 
 class ConditioningError(ValueError):
     pass
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first solve: only the LP
+    solvers need scipy.optimize, and importing it takes longer than most
+    commands take to run."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 def _cheb_grid(a: float, b: float, m: int) -> np.ndarray:

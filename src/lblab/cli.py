@@ -35,11 +35,8 @@ def _add_common(p):
 
 def _config(args):
     overrides = {k: getattr(args, k, None)
-                 for k in ("family", "n", "d", "iterations", "seeds", "grid_points")}
-    cfg = harness.load_config(args.config, **overrides)
-    if getattr(args, "kappa", None):
-        cfg.L = args.kappa * cfg.mu
-    return cfg
+                 for k in ("family", "n", "d", "iterations", "seeds", "grid_points", "kappa")}
+    return harness.load_config(args.config, **overrides)
 
 
 def main(argv=None) -> int:

@@ -57,7 +57,9 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def load_config(path=None, **overrides) -> ExperimentConfig:
+def load_config(path=None, kappa=None, **overrides) -> ExperimentConfig:
+    """Defaults, then the config file, then `overrides`; a given `kappa`
+    sets L = kappa * mu last."""
     cfg = ExperimentConfig()
     if path is not None:
         parser = configparser.ConfigParser()
@@ -70,6 +72,10 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             _apply(cfg, key, val, where="command line")
+    if kappa is not None:
+        cfg.L = kappa * cfg.mu
+    if not cfg.L > cfg.mu > 0:
+        raise ConfigError(f"need L > mu > 0 (kappa > 1), got L={cfg.L!r}, mu={cfg.mu!r}")
     for key in ("n", "d", "grid_points", "seeds"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
@@ -388,8 +394,8 @@ def cmd_sampling_compare(cfg: ExperimentConfig, out=None):
     eta = (cfg.L - cfg.mu) / 2
     inst = FAMILIES["fsm"].instance(cfg, -eta)
     sched = _schedule(cfg, "sag", "fsm")
-    with_rep = optimizers.batched_curves(sched, inst, cfg.iterations, cfg.seeds).mean(axis=0)
-    without = optimizers.batched_curves(sched, inst, cfg.iterations, cfg.seeds,
+    with_rep = optimizers.batched_curves(sched, [inst], cfg.iterations, cfg.seeds).mean(axis=0)
+    without = optimizers.batched_curves(sched, [inst], cfg.iterations, cfg.seeds,
                                         replacement=False).mean(axis=0)
     rows = [[k, float(with_rep[k]), float(without[k])] for k in range(cfg.iterations + 1)]
     return write_csv(out, ["k", "with_replacement", "without_replacement"], rows,

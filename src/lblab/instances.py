@@ -282,14 +282,19 @@ class RlmInstance:
         g = self.q_matvec(alpha)
         return 0.5 * float(alpha @ g) - float(alpha.sum()) / self.n
 
-    def q_matvec(self, alpha: np.ndarray) -> np.ndarray:
-        diag, off = self.blocks
+    @staticmethod
+    def pair_matvec(diag, off, alpha: np.ndarray) -> np.ndarray:
+        """Q alpha for Q block diagonal with 2x2 blocks [[diag_j, off_j],
+        [off_j, diag_j]] on coordinates (2j, 2j+1)."""
         out = np.empty_like(alpha)
         a = alpha[..., 0::2]
         b = alpha[..., 1::2]
         out[..., 0::2] = diag * a + off * b
         out[..., 1::2] = off * a + diag * b
         return out
+
+    def q_matvec(self, alpha: np.ndarray) -> np.ndarray:
+        return self.pair_matvec(*self.blocks, alpha)
 
     def dual_grad(self, alpha: np.ndarray) -> np.ndarray:
         return self.q_matvec(alpha) - 1.0 / self.n

@@ -14,12 +14,14 @@ returns.  They reach index draws, component tables and the mean gradient
 only through engine operations, and every engine answers their queries
 through `oracles.answer`, so the same closures run on the scalar engines
 (`run`), the symbolic engines (`trace.trace_oblivious`) and the batched
-engines below (`batched_curves`), whose points hold one row per seed.  Each
-engine owns its index stream.  `run`, `batched_curves`, `audit_oblivious`
-and `trace_oblivious` share one loop, `_drive`, that measures the tracked
-point per oracle call (call 0 = initialization): suboptimality, the x-axis
-the lower-bound envelopes are stated in, or the tracer's degree budget.
-`expected_error_curve` averages the batched curves over seeds.
+engines below (`batched_curves`), whose points hold one row per (grid
+point, seed) pair.  Each engine owns its index stream.  `run`,
+`batched_curves`, `audit_oblivious` and `trace_oblivious` share one loop,
+`_drive`, that measures the tracked point per oracle call (call 0 =
+initialization): suboptimality, the x-axis the lower-bound envelopes are
+stated in, or the tracer's degree budget.  `expected_error_curve` runs a
+stochastic schedule once over its whole parameter grid and averages each
+grid point's curves over seeds.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import Block2Diag, QuadraticInstance, RlmInstance
+from .instances import Block2Diag, RlmInstance
 from .oracles import (CallLog, DualExactCD, DualNumericEngine, FirstOrder,
                       NumericEngine, SteepestCD, answer)
 
@@ -359,31 +361,38 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# Batched engines: the schedules' own closures over a batch of seeds
+# Batched engines: the schedules' own closures over a batch of (grid point,
+# seed) runs
 
 
 class _Batched:
-    """The engine protocol over a batch of seeds, answered by
-    `oracles.answer` as on one run.  Points are (seeds, d) arrays whose row
-    s is seed s's run, and a component or coordinate index is a vector with
-    one entry per row.
+    """The engine protocol over a batch of runs, answered by `oracles.answer`
+    as on one run.  The batch holds `seeds` seeds on each of G instances (the
+    points of a parameter grid).  Points are (G*seeds, d) arrays whose row
+    g*seeds + s is the run `run(..., seed=s)` makes on instance g, and a
+    component or coordinate index is a vector with one entry per row.
 
     Seed s draws its indices from `make_rng(s)`, exactly as `run(...,
     seed=s)` does, but all at once: the first `draw` builds every seed's
     stream for the kinds it is asked for, which a schedule asks for at every
     step, and `iterations` draws suffice because each step that draws also
-    calls the oracle.  Without replacement, the components come in
-    consecutive random permutations of range(n).  `calls` counts oracle
-    calls per row.
+    calls the oracle.  Every grid point then reads the same draw for seed s.
+    Without replacement, the components come in consecutive random
+    permutations of range(n).  `calls` counts oracle calls per row.
     """
 
-    def __init__(self, instance, d, seeds, iterations, replacement):
-        self.n, self.d, self.seeds = instance.n, d, seeds
-        self.opt = instance.optimal_value
-        self.rows = np.arange(seeds)
+    def __init__(self, instances, dim, seeds, iterations, replacement):
+        shapes = {(inst.n, dim(inst)) for inst in instances}
+        if len(shapes) != 1:
+            raise ValueError("a batch needs one or more instances of one shape")
+        ((self.n, self.d),) = shapes
+        self.grid, self.seeds = len(instances), seeds
+        self.opt = np.array([inst.optimal_value for inst in instances])
+        self.rows = np.arange(self.grid * seeds)
         self.calls = 0
         self._iterations, self._replacement = iterations, replacement
         self._streams = None
+        self._seed_of_row = self.rows % seeds
         self._next = 0
 
     def _build_streams(self, kinds):
@@ -403,15 +412,23 @@ class _Batched:
     def draw(self, *kinds):
         if self._streams is None:
             self._streams = self._build_streams(kinds)
-        out = self._streams[self._next]
+        out = self._streams[self._next][:, self._seed_of_row]
         self._next += 1
         return out
 
+    def per_row(self, per_instance):
+        """Row g*seeds + s of the result is per_instance[g]."""
+        return np.repeat(per_instance, self.seeds, axis=0)
+
+    def less_opt(self, values):
+        """Per-row values minus the row's optimal value."""
+        return (values.reshape(self.grid, self.seeds) - self.opt[:, None]).ravel()
+
     def zero(self):
-        return np.zeros((self.seeds, self.d))
+        return np.zeros((len(self.rows), self.d))
 
     def table(self):
-        return np.zeros((self.seeds, self.n, self.d))
+        return np.zeros((len(self.rows), self.n, self.d))
 
     def gather(self, table, j):
         return table[self.rows, j]
@@ -430,86 +447,104 @@ class _Batched:
 
 
 class BatchedEngine(_Batched):
-    """QuadraticInstance over a seed batch."""
+    """QuadraticInstances over a seed batch each."""
 
-    def __init__(self, instance: QuadraticInstance, seeds, iterations, replacement=True):
-        super().__init__(instance, instance.d, seeds, iterations, replacement)
-        comps = instance.components
-        self.block = all(isinstance(Q, Block2Diag) for Q, _ in comps)
-        if self.block:
-            self.h = comps[0][0].h
-            self.tail = comps[0][0].tail
-            self.e = np.array([Q.e for Q, _ in comps])
-            self.q = comps[0][1]
+    def __init__(self, instances, seeds, iterations, replacement=True):
+        super().__init__(instances, lambda inst: inst.d, seeds, iterations, replacement)
+        Q0, q0 = instances[0].components[0]
+        self.block = all(isinstance(Q, Block2Diag) and (Q.h, Q.tail) == (Q0.h, Q0.tail)
+                         and np.array_equal(q, q0)
+                         for inst in instances for Q, q in inst.components)
+        if self.block:  # only the off-diagonal entry e differs between components
+            self.h, self.tail, self.q = Q0.h, Q0.tail, q0
+            self.e = self.per_row([[Q.e for Q, _ in inst.components] for inst in instances])
         else:
-            self.Qs = np.stack([Q.dense() for Q, _ in comps])
-            self.qs = np.stack([q for _, q in comps])
-        self.A = instance.mean_matrix()
-        self.qbar = instance.mean_q()
+            self.Qs = np.stack([[Q.dense() for Q, _ in inst.components] for inst in instances])
+            self.qs = np.stack([[q for _, q in inst.components] for inst in instances])
+            self._grid_of_row = self.rows // seeds
+        self.A = np.stack([inst.mean_matrix() for inst in instances])
+        self.qbar = np.stack([inst.mean_q() for inst in instances])
+
+    def _by_grid(self, W):
+        return W.reshape(self.grid, self.seeds, self.d)
 
     def comp_grad(self, jv, W):
         if self.block:
             out = self.tail * W
-            e = self.e[jv]
+            e = self.e[self.rows, jv]
             out[:, 0] = self.h * W[:, 0] + e * W[:, 1]
             out[:, 1] = e * W[:, 0] + self.h * W[:, 1]
             return out - self.q
         # matmul runs the scalar engine's BLAS kernels (gemv here, dot in
         # grad_entry) row by row, so each row rounds as the scalar run does
-        return (self.Qs[jv] @ W[:, :, None])[:, :, 0] - self.qs[jv]
+        g = self._grid_of_row
+        return (self.Qs[g, jv] @ W[:, :, None])[:, :, 0] - self.qs[g, jv]
 
     def diag(self, jv, iv):
-        return np.where(iv < 2, self.h, self.tail) if self.block else self.Qs[jv, iv, iv]
+        if self.block:
+            return np.where(iv < 2, self.h, self.tail)
+        return self.Qs[self._grid_of_row, jv, iv, iv]
 
     def grad_entry(self, jv, iv, W):
         if self.block:
             return self.comp_grad(jv, W)[self.rows, iv]
-        return (self.Qs[jv, iv][:, None, :] @ W[:, :, None])[:, 0, 0] - self.qs[jv, iv]
+        g = self._grid_of_row
+        return (self.Qs[g, jv, iv][:, None, :] @ W[:, :, None])[:, 0, 0] - self.qs[g, jv, iv]
 
     def mean_grad(self, W, ask):
+        # one gemm per grid point, as a run over that point's seeds alone
         self.calls += self.n
-        return W @ self.A.T - self.qbar
+        G = self._by_grid(W) @ self.A.transpose(0, 2, 1) - self.qbar[:, None, :]
+        return G.reshape(W.shape)
 
     def suboptimality(self, W):
-        return 0.5 * np.einsum("si,ij,sj->s", W, self.A, W) - W @ self.qbar - self.opt
+        Wg = self._by_grid(W)
+        val = (0.5 * np.einsum("gsi,gij,gsj->gs", Wg, self.A, Wg)
+               - (Wg @ self.qbar[:, :, None])[..., 0])
+        return self.less_opt(val)
 
 
 class BatchedDualEngine(_Batched):
-    """RlmInstance over a seed batch; points are dual vectors."""
+    """RlmInstances over a seed batch each; points are dual vectors."""
 
-    def __init__(self, instance: RlmInstance, seeds, iterations, replacement=True):
-        super().__init__(instance, instance.n, seeds, iterations, replacement)
-        self.instance = instance
-        self.dg, self.off = instance.blocks
+    def __init__(self, instances, seeds, iterations, replacement=True):
+        super().__init__(instances, lambda inst: inst.n, seeds, iterations, replacement)
+        if len({inst.lam for inst in instances}) != 1:
+            raise ValueError("a batch needs instances of one lam")
+        self.dg = instances[0].blocks[0]  # depends on lam and n only
+        self.off = self.per_row([inst.blocks[1] for inst in instances])
 
     def grad_entry(self, jv, A):
         pair = jv // 2
         other = 2 * pair + 1 - (jv % 2)
-        return (self.dg[pair] * A[self.rows, jv] + self.off[pair] * A[self.rows, other]
+        return (self.dg[pair] * A[self.rows, jv] + self.off[self.rows, pair] * A[self.rows, other]
                 - 1.0 / self.n)
 
     def diag(self, jv):
         return self.dg[jv // 2]
 
     def suboptimality(self, A):
-        G = self.instance.q_matvec(A)
-        return 0.5 * np.einsum("si,si->s", A, G) - A.sum(axis=1) / self.n - self.opt
+        G = RlmInstance.pair_matvec(self.dg, self.off, A)
+        return self.less_opt(0.5 * np.einsum("si,si->s", A, G) - A.sum(axis=1) / self.n)
 
 
-def batched_curves(schedule: Schedule, instance, iterations: int, seeds: int,
+def batched_curves(schedule: Schedule, instances, iterations: int, seeds: int,
                    replacement: bool = True) -> np.ndarray:
-    """(seeds, iterations+1) suboptimality curves: the schedule's own step
-    closures run once over a batched engine, row s being `run(..., seed=s)`.
+    """(len(instances)*seeds, iterations+1) suboptimality curves: the
+    schedule's own step closures run once over a batched engine, row
+    g*seeds + s being the run `run(..., seed=s)` makes on instances[g].
 
     With `replacement=False` every component draw comes from consecutive
     random permutations of the components instead.
     """
     if not schedule.stochastic:
         raise ValueError(f"{schedule.name} is deterministic; it runs on the scalar engine")
-    check_family(schedule, isinstance(instance, RlmInstance))
-    kind = BatchedDualEngine if isinstance(instance, RlmInstance) else BatchedEngine
-    engine = kind(instance, seeds, iterations, replacement)
-    errors = np.empty((seeds, iterations + 1))
+    instances = list(instances)
+    dual = any(isinstance(inst, RlmInstance) for inst in instances)
+    check_family(schedule, dual)
+    kind = BatchedDualEngine if dual else BatchedEngine
+    engine = kind(instances, seeds, iterations, replacement)
+    errors = np.empty((len(engine.rows), iterations + 1))
     _drive(schedule, engine, engine.ask, lambda: engine.calls, engine.suboptimality, errors)
     return errors
 
@@ -530,25 +565,29 @@ def expected_error_curve(schedule: Schedule, instance_factory, grid, iterations:
     """Monte-Carlo mean suboptimality per oracle call for each grid parameter,
     then the max over the grid per call index.
 
-    instance_factory maps a grid parameter to an instance.  Deterministic
-    schedules collapse to a single seed.
+    instance_factory maps a grid parameter to an instance.  A stochastic
+    schedule runs once over the whole grid on a batched engine; a
+    deterministic one collapses to a single seed per grid point.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty parameter grid")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    eff_seeds = 1 if not schedule.stochastic else seeds
+    insts = [instance_factory(param) for param in grid]
     means = np.empty((len(grid), iterations + 1))
-    errs = np.empty((len(grid), iterations + 1))
-    for gi, param in enumerate(grid):
-        inst = instance_factory(param)
-        if not schedule.stochastic:
-            curves = run(schedule, inst, iterations, seed=0).errors[None, :]
-        else:
-            curves = batched_curves(schedule, inst, iterations, eff_seeds)
-        means[gi] = curves.mean(axis=0)
-        errs[gi] = curves.std(axis=0, ddof=1) / math.sqrt(eff_seeds) if eff_seeds > 1 else 0.0
+    errs = np.zeros((len(grid), iterations + 1))
+    if schedule.stochastic:
+        curves = batched_curves(schedule, insts, iterations, seeds)
+        # per grid point, the (seeds, iterations+1) reductions of a run over
+        # that point alone
+        for gi, block in enumerate(curves.reshape(len(grid), seeds, iterations + 1)):
+            means[gi] = block.mean(axis=0)
+            if seeds > 1:
+                errs[gi] = block.std(axis=0, ddof=1) / math.sqrt(seeds)
+    else:
+        for gi, inst in enumerate(insts):
+            means[gi] = run(schedule, inst, iterations, seed=0).errors
     worst_idx = np.argmax(means, axis=0)
     cols = np.arange(iterations + 1)
     return WorstCaseCurve(

@@ -11,8 +11,8 @@ Three oracle families are supported:
 against a tiny engine protocol (`comp_grad`, `diag`, `grad_entry`,
 `add_to_entry`), so the same code answers on float vectors (the engines
 here), on polynomial-valued iterates (`trace`) and on the batched engines in
-`optimizers`, whose points hold one row per seed and whose component and
-coordinate indices hold one entry per row.  Schedules reach index draws,
+`optimizers`, whose points hold one row per (grid point, seed) pair and
+whose component and coordinate indices hold one entry per row.  Schedules reach index draws,
 component tables and the mean gradient through the engine as well, and each
 engine owns its index stream: `SingleRunEngine.rng` is set by whoever
 drives the run.  A and B in first-order queries are scalars (times

@@ -56,9 +56,14 @@ class UniPoly:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def __call__(self, x):
-        # Horner; exact when x is a Fraction or int.
+        # Horner; exact when x is a Fraction or int.  At a float or float64
+        # point each step would add float(c) to float(acc) through Fraction's
+        # reverse operators, so both are converted once up front instead.
+        coeffs = self.coeffs
+        if isinstance(x, float):
+            x, coeffs = float(x), [float(c) for c in coeffs]
         acc = x * 0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 

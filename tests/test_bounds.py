@@ -149,10 +149,12 @@ def test_smooth_delta_form_exposed():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only identity_checks integrates, so importing the CLI must not pay for it
+    # only identity_checks integrates and only bestapprox's LP solvers call
+    # scipy.optimize, so importing the CLI must pay for neither
     src = os.path.dirname(os.path.dirname(lblab.__file__))
-    code = "import sys, lblab.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, lblab.cli; "
+            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

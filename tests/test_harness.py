@@ -192,6 +192,9 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
     ["run", "--opt", "sag", "--n", "abc"],
     ["bounds", "--formula", "l1", "--kappa", "0.5"],
     ["bounds", "--formula", "fsm_envelope", "--kappa", "0.5"],
+    ["bounds", "--formula", "fsm_envelope", "--kappa", "1"],
+    ["fig2", "--kappa", "0.5"],
+    ["trace", "--opt", "gd", "--family", "fsm", "--kappa", "0.5", "--k", "2"],
     ["fig1", "--d", "1"],
     ["approx-check", "--kmax", "1", "--grid", "1"],
     ["trace", "--opt", "sgd", "--k", "-1"],

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lblab.instances import (fsm_instance, nesterov_chain, rlm_instance,
-                             toy_instance)
+from lblab.instances import (DenseSym, QuadraticInstance, fsm_instance,
+                             nesterov_chain, rlm_instance, toy_instance)
 from lblab.optimizers import (DETERMINISTIC_NAMES, OPTIMIZER_NAMES,
-                              BatchedEngine, Schedule, audit_oblivious,
-                              batched_curves, expected_error_curve,
-                              make_optimizer, make_rng, run)
+                              BatchedDualEngine, BatchedEngine, Schedule,
+                              audit_oblivious, batched_curves,
+                              expected_error_curve, make_optimizer, make_rng,
+                              run)
 from lblab.oracles import FirstOrder
 
 L, MU, R = 100.0, 1.0, 1.0
@@ -126,7 +127,7 @@ def test_batched_curves_match_scalar_runs():
             for kw in variants:
                 sched = make_optimizer(name, L=L, mu=MU, n=n, **kw)
                 target = dual if name == "sdca" else inst
-                curves = batched_curves(sched, target, 50, 4)
+                curves = batched_curves(sched, [target], 50, 4)
                 for s in range(4):
                     ref = run(sched, target, 50, seed=s).errors
                     assert np.allclose(curves[s], ref, rtol=1e-9, atol=1e-15), (name, n, kw)
@@ -134,7 +135,7 @@ def test_batched_curves_match_scalar_runs():
 
 def test_without_replacement_draws_permutation_blocks():
     n, iterations, seeds = 6, 40, 5
-    engine = BatchedEngine(fsm(n=n), seeds, iterations, replacement=False)
+    engine = BatchedEngine([fsm(n=n)], seeds, iterations, replacement=False)
     draws = np.array([engine.draw("n")[0] for _ in range(iterations)])
     for start in range(0, iterations, n):
         block = draws[start:start + n]
@@ -144,7 +145,7 @@ def test_without_replacement_draws_permutation_blocks():
                                   np.repeat(np.arange(n)[:, None], seeds, axis=1))
     assert np.array_equal(draws[:n, 2], make_rng(2).permutation(n))
     with pytest.raises(ValueError):
-        batched_curves(make_optimizer("cd_random"), fsm(n=n), 10, 2, replacement=False)
+        batched_curves(make_optimizer("cd_random"), [fsm(n=n)], 10, 2, replacement=False)
 
 
 def test_coordinate_descent_reads_dimension_from_engine():
@@ -154,15 +155,15 @@ def test_coordinate_descent_reads_dimension_from_engine():
         assert abs(rec.errors[1]) <= 1e-15  # one exact step solves the scalar problem
     # one coordinate and one component: every seed repeats the scalar run
     cd_random = make_optimizer("cd_random")
-    curves = batched_curves(cd_random, toy, 6, 3)
+    curves = batched_curves(cd_random, [toy], 6, 3)
     assert np.allclose(curves, run(cd_random, toy, 6).errors, rtol=1e-9, atol=1e-15)
     with pytest.raises(ValueError):  # deterministic schedules stay scalar
-        batched_curves(make_optimizer("cd_cyclic"), toy, 6, 3)
+        batched_curves(make_optimizer("cd_cyclic"), [toy], 6, 3)
 
 
 def test_sdca_decays_in_expectation():
     dual = rlm_instance(np.full(50, -math.pi / 2), 0.01, 100)
-    curves = batched_curves(make_optimizer("sdca", n=100), dual, 400, 30)
+    curves = batched_curves(make_optimizer("sdca", n=100), [dual], 400, 30)
     mean = curves.mean(axis=0)
     assert mean[-1] < 0.5 * mean[0]
 
@@ -186,20 +187,97 @@ def test_lbfgs_beats_momentum_on_chain():
 
 
 def test_expected_error_curve_shapes():
-    sched = make_optimizer("sgd", L=L, mu=MU, n=8)
     grid = np.linspace(-(L - MU) / 2, (L - MU) / 2, 5)
-    curve = expected_error_curve(sched, lambda e: fsm_instance(np.full(8, e), L, MU, R, 4),
-                                 grid, 30, seeds=10)
-    assert curve.worst_mean.shape == (31,)
-    assert np.all(curve.lower_confidence() <= curve.worst_mean)
-    # the worst mean over the grid of ten seeds' batched curves
-    means = [batched_curves(sched, fsm_instance(np.full(8, e), L, MU, R, 4), 30, 10).mean(axis=0)
-             for e in grid]
-    assert np.array_equal(curve.worst_mean, np.max(means, axis=0))
+    factory = lambda e: fsm_instance(np.full(8, e), L, MU, R, 4)
+    for name in ("sgd", "svrg", "cd_random"):
+        sched = make_optimizer(name, L=L, mu=MU, n=8, epoch=5)
+        curve = expected_error_curve(sched, factory, grid, 30, seeds=10)
+        assert curve.worst_mean.shape == (31,)
+        assert np.all(curve.lower_confidence() <= curve.worst_mean)
+        # the grid batch reduces each grid point's ten seeds as a batch of
+        # that point alone would, then takes the worst mean over the grid
+        per_point = [batched_curves(sched, [factory(e)], 30, 10) for e in grid]
+        means = np.array([c.mean(axis=0) for c in per_point])
+        errs = np.array([c.std(axis=0, ddof=1) / math.sqrt(10) for c in per_point])
+        worst, cols = np.argmax(means, axis=0), np.arange(31)
+        assert np.array_equal(curve.worst_mean, means[worst, cols])
+        assert np.array_equal(curve.stderr, errs[worst, cols])
+        assert np.array_equal(curve.worst_param, grid[worst])
     det = make_optimizer("gd", L=L, mu=MU, n=8)
-    dcurve = expected_error_curve(det, lambda e: fsm_instance(np.full(8, e), L, MU, R, 4),
-                                  grid, 30, seeds=10)
+    dcurve = expected_error_curve(det, factory, grid, 30, seeds=10)
     assert np.all(dcurve.stderr == 0)
+
+
+def _dense_grid(n, d, rng):
+    """Instances of n DenseSym components in d dimensions, one per scale."""
+    def dense(scale):
+        comps = []
+        for _ in range(n):
+            M = rng.normal(size=(d, d))
+            comps.append((DenseSym(scale * (M @ M.T + np.eye(d))), rng.normal(size=d)))
+        return QuadraticInstance(tuple(comps), MU, L, np.zeros(d), 0.0)
+    return [dense(scale) for scale in (0.5, 1.0)]
+
+
+def _grid_cases(n):
+    """(schedule, instance grid, replacement) for every stochastic schedule on
+    its family at n components, under default and non-default steps, plus
+    sag on the toy family and three schedules on dense d > 1 components."""
+    fsm_grid = [fsm(seed=g, n=n) for g in range(3)]
+    rlm_grid = [rlm_instance(np.full(n // 2, psi), 0.05, n) for psi in (-1.5, 0.2, 1.1)]
+    cases = []
+    for name in ("sgd", "sag", "saga", "svrg", "sdca_primal", "cd_random", "sdca"):
+        variants = [{}, {"step": 1 / 500}] + ([{"epoch": 3}] if name == "svrg" else [])
+        for kw in variants:
+            sched = make_optimizer(name, L=L, mu=MU, n=n, **kw)
+            grid = rlm_grid if name == "sdca" else fsm_grid
+            for replacement in (True, False) if name != "cd_random" else (True,):
+                cases.append((sched, grid, replacement))
+    toy_grid = [toy_instance(eta, MU, L) for eta in (MU, 7.0, L)]
+    sag = make_optimizer("sag", L=L, mu=MU, n=1)
+    cases += [(sag, toy_grid, True), (sag, toy_grid, False)]
+    dense_grid = _dense_grid(n, 4, np.random.default_rng(n))
+    cases += [(make_optimizer(name, L=L, mu=MU, n=n), dense_grid, True)
+              for name in ("sag", "svrg", "cd_random")]
+    return cases
+
+
+def test_grid_batch_rows_equal_single_instance_runs():
+    # row g*seeds + s of a grid batch is instance g's run at seed s, bit for
+    # bit, whatever else the batch holds
+    iterations, seeds = 40, 4
+    for n in (6, 8):
+        for sched, grid, replacement in _grid_cases(n):
+            blocks = batched_curves(sched, grid, iterations, seeds, replacement)
+            blocks = blocks.reshape(len(grid), seeds, iterations + 1)
+            for g, inst in enumerate(grid):
+                alone = batched_curves(sched, [inst], iterations, seeds, replacement)
+                assert np.array_equal(blocks[g], alone), (sched.name, n, g, replacement)
+            fewer = batched_curves(sched, grid[1:], iterations, 2, replacement)
+            assert np.array_equal(fewer.reshape(len(grid) - 1, 2, -1), blocks[1:, :2])
+
+
+def test_grid_batch_of_unlike_blocks_takes_dense_path():
+    # fsm instances of different L have different diagonal blocks, so they
+    # do not share the block kernel's h
+    grid = [fsm_instance(np.full(4, 3.0), Lg, MU, R, 4) for Lg in (L, L / 2)]
+    assert not BatchedEngine(grid, 2, 10).block
+    assert BatchedEngine(grid[:1], 2, 10).block
+    sched = make_optimizer("saga", L=L, mu=MU, n=4)
+    blocks = batched_curves(sched, grid, 30, 2).reshape(2, 2, -1)
+    for g, inst in enumerate(grid):
+        for s in range(2):
+            ref = run(sched, inst, 30, seed=s).errors
+            assert np.allclose(blocks[g, s], ref, rtol=1e-9, atol=1e-15)
+
+
+def test_batch_rejects_unlike_shapes():
+    with pytest.raises(ValueError):
+        BatchedEngine([fsm(n=6), fsm(n=8)], 2, 10)
+    with pytest.raises(ValueError):
+        BatchedEngine([], 2, 10)
+    with pytest.raises(ValueError):
+        BatchedDualEngine([rlm_instance(np.zeros(2), lam, 4) for lam in (0.1, 0.2)], 2, 10)
 
 
 def test_unknown_optimizer_rejected():

@@ -160,7 +160,7 @@ def test_batched_engines_answer_like_scalar_engines():
             assert np.array_equal(out[s], answer(scalar, W[s], row_query(s))), (batched_query, s)
 
     for inst in (fsm_inst, dense):
-        batched, scalar = BatchedEngine(inst, seeds, 1), NumericEngine(inst)
+        batched, scalar = BatchedEngine([inst], seeds, 1), NumericEngine(inst)
         check(batched, scalar, W, FirstOrder(-0.3, 0.7, jv, c),
               lambda s: FirstOrder(-0.3, 0.7, int(jv[s]), c))
         check(batched, scalar, W, FirstOrder(1.0, 0.0, jv),
@@ -170,7 +170,7 @@ def test_batched_engines_answer_like_scalar_engines():
 
     nd = 8
     dual = rlm_instance(np.linspace(-1.2, 0.9, nd // 2), 0.05, nd)
-    batched, scalar = BatchedDualEngine(dual, seeds, 1), DualNumericEngine(dual)
+    batched, scalar = BatchedDualEngine([dual], seeds, 1), DualNumericEngine(dual)
     A = rng.normal(size=(seeds, nd))
     jd = rng.integers(nd, size=seeds)
     check(batched, scalar, A, DualExactCD(jd), lambda s: DualExactCD(int(jd[s])))
@@ -182,7 +182,7 @@ def test_zero_diagonal_raises_on_every_engine():
     inst = dense_instance([Q, Q])
     with pytest.raises(ZeroDivisionError):
         answer(NumericEngine(inst), np.ones(2), SteepestCD(1, 0))
-    batched = BatchedEngine(inst, 3, 1)
+    batched = BatchedEngine([inst], 3, 1)
     W = np.ones((3, 2))
     out = answer(batched, W, SteepestCD(np.array([0, 0, 0]), np.array([0, 1, 0])))
     assert np.all(out[:, 1] == 1.0)
