@@ -88,6 +88,8 @@ def main(argv=None) -> int:
             return EXIT_OK if all(c[2] for c in checks) else 1
 
         cfg = _config(args)
+        if getattr(args, "kmax", 0) < 0:
+            raise ConfigError(f"kmax must be >= 0, got {args.kmax}")
         if args.command == "bounds":
             rows = harness.bounds_table(args.formula, cfg, args.kmax)
             out = harness.write_csv(args.out, ["k", "bound"], rows, cfg.hash(),

@@ -109,10 +109,32 @@ class QuadraticInstance:
             g += Q.matvec(w) - q
         return g / self.n
 
-    def value(self, w: np.ndarray) -> float:
-        tot = 0.0
+    @cached_property
+    def _terms(self):
+        """(distinct, slot): the distinct (Q, q) pairs by identity, and for
+        each component the index of its pair in `distinct`."""
+        first, distinct, slot = {}, [], []
         for Q, q in self.components:
-            tot += 0.5 * float(w @ Q.matvec(w)) - float(q @ w)
+            key = (id(Q), id(q))
+            if key not in first:
+                first[key] = len(distinct)
+                distinct.append((Q, q))
+            slot.append(first[key])
+        return tuple(distinct), tuple(slot)
+
+    def value(self, w: np.ndarray) -> float:
+        """Mean of the component values (1/2) w'Q_i w - q_i'w.
+
+        Each distinct (Q, q) pair's term is computed once, and the n terms
+        are then added in component order.  This is bit-identical to the
+        plain loop over components: a pair that is the same objects gives
+        the same float term, and the sum runs in the same order.
+        """
+        distinct, slot = self._terms
+        terms = [0.5 * float(w @ Q.matvec(w)) - float(q @ w) for Q, q in distinct]
+        tot = 0.0
+        for i in slot:
+            tot += terms[i]
         return tot / self.n
 
     def suboptimality(self, w: np.ndarray) -> float:
@@ -169,7 +191,11 @@ def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstan
     h = (L + mu) / 2
     q = np.zeros(d)
     q[0] = q[1] = R * mu / math.sqrt(2)
-    comps = [(Block2Diag(d, h, float(e), mu), q) for e in etas]
+    # equal etas (bit for bit, so -0.0 is not 0.0) share one component, which
+    # `QuadraticInstance.value` then evaluates once
+    shared = {}
+    comps = [shared.setdefault(float(e).hex(), (Block2Diag(d, h, float(e), mu), q))
+             for e in etas]
     inst = _finish(comps, mu, L)
     closed = fsm_minimizer(etas, L, mu, R, d)
     assert np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed))

@@ -217,39 +217,52 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
 
     if name == "lbfgs":
         def init(engine):
-            return {"w": engine.zero(), "g": None, "S": [], "Y": []}
+            return {"w": engine.zero(), "g": None, "pairs": [], "stalled": None}
         def stp(state, k, ask, engine):
+            """Two-loop direction, then an exact line search along it.
+
+            Each stored pair (s, y) keeps s.y, computed once when the pair is
+            appended; the loops divide by that same float, so the direction
+            is bit-identical to recomputing it.  A step whose curvature is
+            not positive returns without changing the state, so every later
+            step would repeat it exactly: those steps ask only the same
+            probe point again, which keeps the oracle calls unchanged.
+            """
             w = state["w"]
             if state["g"] is None:
                 state["g"] = engine.mean_grad(w, ask)
                 return
-            g = state["g"]
+            if state["stalled"] is not None:
+                engine.mean_grad(state["stalled"], ask)
+                return
+            g, pairs = state["g"], state["pairs"]
             q = g.copy()
             alphas = []
-            for s, y in zip(reversed(state["S"]), reversed(state["Y"])):
-                a = float(s @ q) / float(s @ y)
+            for s, y, sy in reversed(pairs):
+                a = float(s @ q) / sy
                 alphas.append(a)
                 q = q - a * y
-            if state["S"]:
-                s, y = state["S"][-1], state["Y"][-1]
-                q = q * (float(s @ y) / float(y @ y))
-            for (s, y), a in zip(zip(state["S"], state["Y"]), reversed(alphas)):
-                b = float(y @ q) / float(s @ y)
+            if pairs:
+                s, y, sy = pairs[-1]
+                q = q * (sy / float(y @ y))
+            for (s, y, sy), a in zip(pairs, reversed(alphas)):
+                b = float(y @ q) / sy
                 q = q + (a - b) * s
             pdir = -q
-            gp = engine.mean_grad(w + pdir, ask)
+            probe = w + pdir
+            gp = engine.mean_grad(probe, ask)
             qd = gp - g  # = (mean Hessian) @ pdir, exact for quadratics
             curv = float(pdir @ qd)
             if curv <= 0:
+                state["stalled"] = probe
                 return
             t = -float(g @ pdir) / curv
             state["w"] = w + t * pdir
             state["g"] = g + t * qd
-            state["S"].append(t * pdir)
-            state["Y"].append(t * qd)
-            if len(state["S"]) > memory:
-                state["S"].pop(0)
-                state["Y"].pop(0)
+            s, y = t * pdir, t * qd
+            pairs.append((s, y, float(s @ y)))
+            if len(pairs) > memory:
+                pairs.pop(0)
         return Schedule(name, False, init, stp, stochastic=False)
 
     raise AssertionError("unreachable")

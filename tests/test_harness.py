@@ -198,6 +198,8 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
     ["fig1", "--d", "1"],
     ["approx-check", "--kmax", "1", "--grid", "1"],
     ["trace", "--opt", "sgd", "--k", "-1"],
+    ["bounds", "--kmax", "-1"],
+    ["approx-check", "--kmax", "-1"],
 ])
 def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
     assert cli.main(argv) == EXIT_CONFIG

@@ -172,3 +172,34 @@ def test_rlm_validation():
         rlm_instance(np.zeros(3), 0.01, 4)
     with pytest.raises(ValueError):
         rlm_instance(np.full(2, 3.0), 0.01, 4)
+
+
+def _value_by_plain_loop(inst, w):
+    tot = 0.0
+    for Q, q in inst.components:
+        tot += 0.5 * float(w @ Q.matvec(w)) - float(q @ w)
+    return tot / inst.n
+
+
+@pytest.mark.parametrize("etas", [
+    np.full(8, 12.5),                                   # all equal
+    np.linspace(-(L - MU) / 2, (L - MU) / 2, 8),        # all distinct
+    np.array([3.0, -7.25, 3.0, 49.5, -7.25, 3.0, 0.0, -0.0]),  # partly repeated
+])
+def test_fsm_value_equals_plain_loop(etas):
+    inst = fsm_instance(etas, L, MU, R, 6)
+    # equal etas share one component; 0.0 and -0.0 stay apart
+    assert len({id(Q) for Q, _ in inst.components}) == len({float(e).hex() for e in etas})
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        w = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=inst.d)
+        assert inst.value(w) == _value_by_plain_loop(inst, w)
+
+
+@pytest.mark.parametrize("inst", [toy_instance(4.0, 1.0, 10.0), nesterov_chain(30, L, MU)],
+                         ids=["toy", "chain"])
+def test_value_equals_plain_loop(inst):
+    rng = np.random.default_rng(6)
+    for _ in range(25):
+        w = rng.normal(size=inst.d)
+        assert inst.value(w) == _value_by_plain_loop(inst, w)

@@ -186,6 +186,65 @@ def test_lbfgs_beats_momentum_on_chain():
     assert first_lb < first_agd
 
 
+def _reference_lbfgs(memory):
+    """The L-BFGS closure as a plain two-loop: s.y recomputed for every pair
+    on every step, and a stalled step recomputed in full."""
+    def init(engine):
+        return {"w": engine.zero(), "g": None, "S": [], "Y": []}
+    def stp(state, k, ask, engine):
+        w = state["w"]
+        if state["g"] is None:
+            state["g"] = engine.mean_grad(w, ask)
+            return
+        g = state["g"]
+        q = g.copy()
+        alphas = []
+        for s, y in zip(reversed(state["S"]), reversed(state["Y"])):
+            a = float(s @ q) / float(s @ y)
+            alphas.append(a)
+            q = q - a * y
+        if state["S"]:
+            s, y = state["S"][-1], state["Y"][-1]
+            q = q * (float(s @ y) / float(y @ y))
+        for (s, y), a in zip(zip(state["S"], state["Y"]), reversed(alphas)):
+            b = float(y @ q) / float(s @ y)
+            q = q + (a - b) * s
+        pdir = -q
+        gp = engine.mean_grad(w + pdir, ask)
+        qd = gp - g
+        curv = float(pdir @ qd)
+        if curv <= 0:
+            return
+        t = -float(g @ pdir) / curv
+        state["w"] = w + t * pdir
+        state["g"] = g + t * qd
+        state["S"].append(t * pdir)
+        state["Y"].append(t * qd)
+        if len(state["S"]) > memory:
+            state["S"].pop(0)
+            state["Y"].pop(0)
+    return Schedule("lbfgs", False, init, stp, stochastic=False)
+
+
+@pytest.mark.parametrize("memory", [1, 5, 100])
+@pytest.mark.parametrize("d", [2, 10, 50, 200])
+def test_lbfgs_equals_plain_two_loop(d, memory):
+    inst = nesterov_chain(d, L, MU)
+    fast = make_optimizer("lbfgs", L=L, mu=MU, n=1, memory=memory)
+    stalled_at = []
+    def watched(state, k, ask, engine):
+        fast.step(state, k, ask, engine)
+        if state["stalled"] is not None and not stalled_at:
+            stalled_at.append(k)
+    calls = 801  # fig1 --d 200: one init call and two per iteration over 400
+    got = run(Schedule("lbfgs", False, fast.init, watched, stochastic=False), inst, calls)
+    want = run(_reference_lbfgs(memory), inst, calls)
+    assert np.array_equal(got.errors, want.errors)
+    assert got.log.variant_counts == want.log.variant_counts
+    # the stall comes before step 400, so most later steps repeat it
+    assert stalled_at and stalled_at[0] < calls // 2
+
+
 def test_expected_error_curve_shapes():
     grid = np.linspace(-(L - MU) / 2, (L - MU) / 2, 5)
     factory = lambda e: fsm_instance(np.full(8, e), L, MU, R, 4)
