@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("approx-check", help="analytic bounds vs brute-force optima")
     _add_common(p)
     p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--grid", type=int, default=4097)
+    p.add_argument("--grid", type=int, help="sample points (default: the config's approx_grid)")
 
     p = sub.add_parser("trace", help="symbolic iterate polynomials (JSON lines)")
     _add_common(p)
@@ -95,7 +95,8 @@ def main(argv=None) -> int:
             out = harness.write_csv(args.out, ["k", "bound"], rows, cfg.hash(),
                                     units=args.formula)
         elif args.command == "approx-check":
-            rows = harness.approx_check_rows(args.kmax, args.grid)
+            grid = cfg.approx_grid if args.grid is None else args.grid
+            rows = harness.approx_check_rows(args.kmax, grid)
             out = harness.write_csv(args.out, ["norm", "k", "analytic_lb", "bruteforce", "ratio"],
                                     rows, cfg.hash(), units="approximation error")
         elif args.command == "trace":

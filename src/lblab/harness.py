@@ -184,7 +184,7 @@ def envelope_prefactor(cfg: ExperimentConfig) -> float:
     return (cfg.mu / 2) * (cfg.n * cfg.R * cfg.mu / (math.sqrt(2) * (cfg.L - cfg.mu))) ** 2
 
 
-def approx_check_rows(kmax: int = 8, grid: int = 4097):
+def approx_check_rows(kmax: int, grid: int):
     """norm,k,analytic_lb,bruteforce,ratio rows for the three norms."""
     rows = []
     mu, L = 1.0, 4.0

@@ -3,7 +3,9 @@ closed-form minimizers, plus the dual of the regularized linear-loss problem.
 
 Matrices are stored structurally (a leading 2x2 block plus a diagonal tail)
 with a dense materialization used by test oracles; the structural form is
-what keeps the large-dimension benchmark runs cheap.
+what keeps the large-dimension benchmark runs cheap.  The structures'
+products are written over any entries with arithmetic: floats, per-row
+arrays (the batched engines) and exact polynomials (the symbolic tracer).
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ class Block2Diag:
         return Q
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
+        """Q w for a point w, or row by row for (rows, d) points with a
+        per-row `e`.  `e` multiplies from the right, so a polynomial `e`
+        meets the point's entries and never an array."""
         out = self.tail * w
-        out[..., 0] = self.h * w[..., 0] + self.e * w[..., 1]
-        out[..., 1] = self.e * w[..., 0] + self.h * w[..., 1]
+        out[..., 0] = self.h * w[..., 0] + w[..., 1] * self.e
+        out[..., 1] = w[..., 0] * self.e + self.h * w[..., 1]
         return out
 
     def diag(self, i: int) -> float:
@@ -69,10 +74,10 @@ class DenseSym:
         return w @ self.Q.T if w.ndim > 1 else self.Q @ w
 
     def diag(self, i: int) -> float:
-        return float(self.Q[i, i])
+        return self.Q[i, i]
 
     def row_dot(self, i: int, w: np.ndarray) -> float:
-        return float(self.Q[i] @ w)
+        return self.Q[i] @ w
 
     def eigvals(self):
         return sorted(np.linalg.eigvalsh(self.Q))

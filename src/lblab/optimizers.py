@@ -34,7 +34,7 @@ import numpy as np
 
 from .instances import Block2Diag, RlmInstance
 from .oracles import (CallLog, DualExactCD, DualNumericEngine, FirstOrder,
-                      NumericEngine, SteepestCD, answer)
+                      NumericEngine, PairOracle, SteepestCD, answer)
 
 OPTIMIZER_NAMES = ("gd", "agd", "hb", "sgd", "sag", "saga", "svrg", "sdca",
                    "sdca_primal", "cd_cyclic", "cd_random", "lbfgs")
@@ -362,7 +362,7 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
 
     def spoofed(point, query):
         answer(engine, point, query, CallLog())  # keep shapes honest
-        log.note(query, getattr(query, "j", 0))
+        log.note(query)
         return engine.zero()
 
     try:
@@ -483,11 +483,7 @@ class BatchedEngine(_Batched):
 
     def comp_grad(self, jv, W):
         if self.block:
-            out = self.tail * W
-            e = self.e[self.rows, jv]
-            out[:, 0] = self.h * W[:, 0] + e * W[:, 1]
-            out[:, 1] = e * W[:, 0] + self.h * W[:, 1]
-            return out - self.q
+            return Block2Diag(self.d, self.h, self.e[self.rows, jv], self.tail).matvec(W) - self.q
         # matmul runs the scalar engine's BLAS kernels (gemv here, dot in
         # grad_entry) row by row, so each row rounds as the scalar run does
         g = self._grid_of_row
@@ -517,27 +513,23 @@ class BatchedEngine(_Batched):
         return self.less_opt(val)
 
 
-class BatchedDualEngine(_Batched):
-    """RlmInstances over a seed batch each; points are dual vectors."""
+class BatchedDualEngine(PairOracle, _Batched):
+    """RlmInstances over a seed batch each; points are dual vectors, and
+    `off` holds one row of pair entries per run."""
 
     def __init__(self, instances, seeds, iterations, replacement=True):
         super().__init__(instances, lambda inst: inst.n, seeds, iterations, replacement)
         if len({inst.lam for inst in instances}) != 1:
             raise ValueError("a batch needs instances of one lam")
-        self.dg = instances[0].blocks[0]  # depends on lam and n only
-        self.off = self.per_row([inst.blocks[1] for inst in instances])
+        dg = instances[0].blocks[0]  # depends on lam and n only
+        self.blocks = (dg, self.per_row([inst.blocks[1] for inst in instances]))
+        self.lin = 1.0 / self.n
 
-    def grad_entry(self, jv, A):
-        pair = jv // 2
-        other = 2 * pair + 1 - (jv % 2)
-        return (self.dg[pair] * A[self.rows, jv] + self.off[self.rows, pair] * A[self.rows, other]
-                - 1.0 / self.n)
-
-    def diag(self, jv):
-        return self.dg[jv // 2]
+    def _at(self, x, i):
+        return x[self.rows, i]
 
     def suboptimality(self, A):
-        G = RlmInstance.pair_matvec(self.dg, self.off, A)
+        G = RlmInstance.pair_matvec(*self.blocks, A)
         return self.less_opt(0.5 * np.einsum("si,si->s", A, G) - A.sum(axis=1) / self.n)
 
 

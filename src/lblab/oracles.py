@@ -7,17 +7,23 @@ Three oracle families are supported:
 - dual coordinate oracles: a gradient step or exact minimization along one
   dual coordinate.
 
-`answer` is the only code that answers a query.  Its procedures are written
-against a tiny engine protocol (`comp_grad`, `diag`, `grad_entry`,
-`add_to_entry`), so the same code answers on float vectors (the engines
-here), on polynomial-valued iterates (`trace`) and on the batched engines in
-`optimizers`, whose points hold one row per (grid point, seed) pair and
-whose component and coordinate indices hold one entry per row.  Schedules reach index draws,
-component tables and the mean gradient through the engine as well, and each
-engine owns its index stream: `SingleRunEngine.rng` is set by whoever
-drives the run.  A and B in first-order queries are scalars (times
-identity); every optimizer in scope uses only that shape, and a dense
-escape hatch exists in tests via explicit matvecs.
+`answer` is the only code that answers a query, and it notes each call in
+the `CallLog` once.  Its procedures are written against a tiny engine
+protocol (`comp_grad`, `diag`, `grad_entry`, `add_to_entry`), and the
+arithmetic behind the first three is written once per structure:
+`ComponentOracle` for finite sums of (Q, q) components, whose matrix
+structures live in `instances`, and `PairOracle` for the dual family's 2x2
+pair blocks.  The float engines here, the polynomial engines in `trace`
+(the same structures with exact entries, on PolyVector points) and the
+batched dual engine in `optimizers` all inherit them; the batched quadratic
+engine calls `Block2Diag.matvec` row by row.  Batched points hold one row
+per (grid point, seed) pair, and their component and coordinate indices
+hold one entry per row.  Schedules reach index draws, component tables and
+the mean gradient through the engine as well, and each engine owns its
+index stream: `SingleRunEngine.rng` is set by whoever drives the run.  A
+and B in first-order queries are scalars (times identity); every optimizer
+in scope uses only that shape, and a dense escape hatch exists in tests via
+explicit matvecs.
 """
 
 from __future__ import annotations
@@ -71,31 +77,30 @@ class CallLog:
     def total(self) -> int:
         return sum(self.variant_counts.values())
 
-    def note(self, query, component: int):
+    def note(self, query):
+        # every query names the one component it reads (for the dual
+        # queries, the dual coordinate doubles as the component)
         self.variant_counts[type(query).__name__] += 1
-        self.component_touches[component] += 1
+        self.component_touches[query.j] += 1
         if self.record_queries:
             self.queries.append(query)
-
-    def to_csv(self) -> str:
-        lines = ["variant,count"]
-        for name in sorted(self.variant_counts):
-            lines.append(f"{name},{self.variant_counts[name]}")
-        lines.append("component,touches")
-        for comp in sorted(self.component_touches):
-            lines.append(f"{comp},{self.component_touches[comp]}")
-        return "\n".join(lines) + "\n"
 
 
 class SingleRunEngine:
     """Schedule-facing engine operations for engines that carry one run's
-    point (numeric vectors here, polynomial vectors in `trace`).
+    point: a float vector here, a PolyVector in `trace`.
 
-    Subclasses provide `n`, `zero()` and, for coordinate draws, `d`; the
-    run's driver sets `rng`, the stream `draw` reads.
+    `origin` is the zero point, of length `d`, and `n` the component
+    count; the run's driver sets `rng`, the stream `draw` reads.
     """
 
     rng = None
+
+    def __init__(self, n, origin):
+        self.n, self.d, self._origin = n, len(origin), origin
+
+    def zero(self):
+        return self._origin.copy()
 
     def draw(self, *kinds):
         """One index per kind, in order: "n" a component, "d" a coordinate."""
@@ -112,6 +117,11 @@ class SingleRunEngine:
     def scatter(self, table, j, value):
         table[j] = value
 
+    def add_to_entry(self, w, i, t):
+        out = w.copy()
+        out[i] += t
+        return out
+
     def mean_grad(self, w, ask, a=1.0, b=0.0):
         """b*w + a*(mean gradient at w), asked as n first-order calls."""
         acc = None
@@ -121,55 +131,67 @@ class SingleRunEngine:
         return acc
 
 
-class _FloatEngine(SingleRunEngine):
-    """One run's point as a numpy float vector of length d."""
+class ComponentOracle:
+    """The answer arithmetic of a finite sum of quadratic components.
 
-    def __init__(self, instance, d):
-        self.instance, self.n, self.d = instance, instance.n, d
-
-    def zero(self):
-        return np.zeros(self.d)
-
-    def add_to_entry(self, w, i, t):
-        out = w.copy()
-        out[i] += t
-        return out
-
-
-class NumericEngine(_FloatEngine):
-    """Engine over a QuadraticInstance."""
-
-    def __init__(self, instance):
-        super().__init__(instance, instance.d)
+    `components[j]` is a (Q, q) pair: a matrix structure from `instances`
+    and a vector, and component j's gradient at w is Q w - q.  The numeric
+    engine reads them from its instance; the tracer builds the same
+    structures with polynomial entries.
+    """
 
     def comp_grad(self, j, w):
-        return self.instance.comp_grad(j, w)
+        Q, q = self.components[j]
+        return Q.matvec(w) - q
 
     def diag(self, j, i):
-        return self.instance.components[j][0].diag(i)
+        return self.components[j][0].diag(i)
 
     def grad_entry(self, j, i, w):
-        Q, q = self.instance.components[j]
+        Q, q = self.components[j]
         return Q.row_dot(i, w) - q[i]
 
 
-class DualNumericEngine(_FloatEngine):
+class PairOracle:
+    """The answer arithmetic of the dual family's coordinate pairs.
+
+    The objective is (1/2) a'Q a - lin 1'a, with Q block diagonal: 2x2
+    blocks [[diag_p, off_p], [off_p, diag_p]] on coordinates (2p, 2p+1),
+    and `blocks` is (diag, off).  `_at(x, i)` reads entry i of a point or
+    of `off`; engines whose points hold one row per run read it per row.
+    """
+
+    def _at(self, x, i):
+        return x[i]
+
+    def grad_entry(self, j, alpha):
+        diag, off = self.blocks
+        pair = j // 2
+        other = 2 * pair + 1 - j % 2
+        return (diag[pair] * self._at(alpha, j)
+                + self._at(off, pair) * self._at(alpha, other) - self.lin)
+
+    def diag(self, j):
+        return self.blocks[0][j // 2]
+
+
+class NumericEngine(ComponentOracle, SingleRunEngine):
+    """Engine over a QuadraticInstance."""
+
+    def __init__(self, instance):
+        super().__init__(instance.n, np.zeros(instance.d))
+        self.instance, self.components = instance, instance.components
+
+
+class DualNumericEngine(PairOracle, SingleRunEngine):
     """Engine over an RlmInstance; points are dual vectors."""
 
     def __init__(self, instance):
-        super().__init__(instance, instance.n)
-
-    def grad_entry(self, j, alpha):
-        diag, off = self.instance.blocks
-        pair, pos = divmod(j, 2)
-        other = alpha[2 * pair + 1 - pos]
-        return diag[pair] * alpha[j] + off[pair] * other - 1.0 / self.instance.n
-
-    def diag(self, j):
-        return self.instance.blocks[0][j // 2]
+        super().__init__(instance.n, np.zeros(instance.n))
+        self.blocks, self.lin = instance.blocks, 1.0 / instance.n
 
 
-def answer_first_order(engine, w, q: FirstOrder, log: CallLog = None):
+def _answer_first_order(engine, w, q: FirstOrder):
     # identity terms are skipped: g + 0*w would turn -0.0 into 0.0
     out = engine.comp_grad(q.j, w)
     if q.a != 1:
@@ -178,8 +200,6 @@ def answer_first_order(engine, w, q: FirstOrder, log: CallLog = None):
         out = out + w * q.b
     if q.c is not None:
         out = out + q.c
-    if log is not None:
-        log.note(q, q.j)
     return out
 
 
@@ -190,33 +210,27 @@ def _coordinate_step(engine, point, i, g, d):
     return engine.add_to_entry(point, i, -(g / d))
 
 
-def answer_steepest_cd(engine, w, q: SteepestCD, log: CallLog = None):
-    out = _coordinate_step(engine, w, q.i, engine.grad_entry(q.j, q.i, w),
-                           engine.diag(q.j, q.i))
-    if log is not None:
-        log.note(q, q.j)
-    return out
+def _answer_steepest_cd(engine, w, q: SteepestCD):
+    return _coordinate_step(engine, w, q.i, engine.grad_entry(q.j, q.i, w),
+                            engine.diag(q.j, q.i))
 
 
-def answer_dual_rlm(engine, alpha, q, log: CallLog = None):
-    # the dual coordinate index doubles as the component touched
+def _answer_dual(engine, alpha, q):
     if isinstance(q, DualGradStep):
-        out = engine.add_to_entry(alpha, q.j, engine.grad_entry(q.j, alpha) * q.t)
-    elif isinstance(q, DualExactCD):
-        out = _coordinate_step(engine, alpha, q.j, engine.grad_entry(q.j, alpha),
-                               engine.diag(q.j))
-    else:
-        raise TypeError(f"not a dual query: {q!r}")
-    if log is not None:
-        log.note(q, q.j)
-    return out
+        return engine.add_to_entry(alpha, q.j, engine.grad_entry(q.j, alpha) * q.t)
+    return _coordinate_step(engine, alpha, q.j, engine.grad_entry(q.j, alpha),
+                            engine.diag(q.j))
 
 
 def answer(engine, point, query, log: CallLog = None):
     if isinstance(query, FirstOrder):
-        return answer_first_order(engine, point, query, log)
-    if isinstance(query, SteepestCD):
-        return answer_steepest_cd(engine, point, query, log)
-    if isinstance(query, (DualGradStep, DualExactCD)):
-        return answer_dual_rlm(engine, point, query, log)
-    raise TypeError(f"unknown query {query!r}")
+        out = _answer_first_order(engine, point, query)
+    elif isinstance(query, SteepestCD):
+        out = _answer_steepest_cd(engine, point, query)
+    elif isinstance(query, (DualGradStep, DualExactCD)):
+        out = _answer_dual(engine, point, query)
+    else:
+        raise TypeError(f"unknown query {query!r}")
+    if log is not None:
+        log.note(query)
+    return out

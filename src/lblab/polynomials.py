@@ -8,6 +8,10 @@ coefficients keep the degree bookkeeping exact: a floating-point
 representation would manufacture tiny spurious terms and break the degree
 assertions made by the symbolic tracer.
 
+`PolyVector` is a 1-d numpy object array of MultiPoly entries, so numpy's
+elementwise arithmetic and the matrix structures of `instances` run on
+polynomial iterates exactly as on float ones.
+
 Also provides second-kind Chebyshev polynomials, their zeros, and the signed
 moments of sgn(U_k), which are the orthogonality workhorse behind the
 uniform-norm lower bounds.
@@ -22,6 +26,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 # Degree of the zero polynomial.  A sentinel (not -1) keeps max/+ arithmetic
 # on degrees total.
@@ -224,6 +229,8 @@ class MultiPoly:
     def _combine(self, other, sign: int) -> "MultiPoly":
         """self + sign * other: self's terms in order, then other's new ones."""
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
             other = MultiPoly.constant(self.nvars, other)
         self._check(other)
         da, db = self._den, other._den
@@ -297,73 +304,64 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self.terms})"
 
 
-class PolyVector:
-    """A vector of MultiPoly entries sharing an indeterminate count.
+class PolyVector(np.ndarray):
+    """A 1-d object array of MultiPoly entries sharing an indeterminate count.
 
-    `budget` is the degree budget the owning trace is accountable to; the
-    checking policy (total degree vs per-variable degree) lives with the
-    tracer, this type only carries the number and the measurement helpers.
+    Numpy's elementwise arithmetic applies the MultiPoly operators, so the
+    matrix structures in `instances` and the answer procedures in `oracles`
+    run on it unchanged, with exact coefficients.  `budget` is the degree
+    budget the owning trace is accountable to; the checking policy (total
+    degree vs per-variable degree) lives with the tracer, this type only
+    carries the number and the measurement helpers.
     """
 
-    __slots__ = ("entries", "budget")
-
-    def __init__(self, entries, budget=0):
+    def __new__(cls, entries, budget=0):
         entries = list(entries)
         if entries:
             nv = entries[0].nvars
             if any(e.nvars != nv for e in entries):
                 raise ValueError("mixed indeterminate counts")
-        self.entries = entries
-        self.budget = budget
+        vec = np.empty(len(entries), dtype=object).view(cls)
+        vec[:] = entries
+        vec.budget = budget
+        return vec
+
+    def __array_finalize__(self, obj):
+        self.budget = getattr(obj, "budget", 0)
 
     @classmethod
     def zeros(cls, d: int, nvars: int, budget=0) -> "PolyVector":
-        return cls([MultiPoly(nvars, {}) for _ in range(d)], budget)
+        return cls([MultiPoly(nvars, {})] * d, budget)
+
+    @property
+    def entries(self) -> list:
+        return list(self)
 
     @property
     def nvars(self):
-        return self.entries[0].nvars if self.entries else 0
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+        return self[0].nvars if len(self) else 0
 
     def max_total_degree(self):
-        degs = [e.total_degree for e in self.entries]
+        degs = [e.total_degree for e in self]
         return max(degs) if degs else NEG_INF
 
     def variable_degree_sum(self):
         """Sum over variables of the largest degree any entry has in it."""
         total = 0
         for v in range(self.nvars):
-            dv = max((e.degree_in(v) for e in self.entries), default=NEG_INF)
+            dv = max((e.degree_in(v) for e in self), default=NEG_INF)
             if dv != NEG_INF:
                 total += dv
         return total
-
-    def __add__(self, other):
-        if isinstance(other, PolyVector):
-            return PolyVector([a + b for a, b in zip(self.entries, other.entries)], self.budget)
-        return NotImplemented
-
-    def __sub__(self, other):
-        return PolyVector([a - b for a, b in zip(self.entries, other.entries)], self.budget)
-
-    def __mul__(self, r):
-        return PolyVector([e.scale(_frac(r)) for e in self.entries], self.budget)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, r):
         # the float reciprocal, coerced like every other constant
         return self * (1.0 / r)
 
     def with_entry(self, i, p) -> "PolyVector":
-        es = list(self.entries)
-        es[i] = p
-        return PolyVector(es, self.budget)
+        out = self.copy()
+        out[i] = p
+        return out
 
 
 # ---------------------------------------------------------------------------

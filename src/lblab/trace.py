@@ -1,7 +1,12 @@
 """Symbolic execution of oblivious schedules.
 
 The iterates are polynomials in the instance parameters (eta per component
-for the quadratic families, sin psi per pair for the dual family); every
+for the quadratic families, sin psi per pair for the dual family).  The
+tracer answers through the same structures as the numeric engines, built
+with exact entries: `Block2Diag` with the indeterminate as its
+off-diagonal entry for the finite-sum family, `DenseSym(eta I)` for the
+scalar and smooth families, and the dual family's (diag, off) pair blocks,
+all read by the `oracles` answer arithmetic on PolyVector points.  Every
 numeric constant is coerced to an exact binary rational so the degree
 accounting is exact.  Each oracle answer can raise the degree by at most
 one, and the tracer asserts the matching degree budget after every call:
@@ -23,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oracles import CallLog, SingleRunEngine, answer
+from .instances import Block2Diag, DenseSym
+from .oracles import CallLog, ComponentOracle, PairOracle, SingleRunEngine, answer
 from .polynomials import MultiPoly, PolyVector, UniPoly
 from .optimizers import Schedule, _drive, make_rng
 
@@ -38,109 +44,65 @@ class DegreeViolation(AssertionError):
     pass
 
 
-class _SymEngine(SingleRunEngine):
-    """Symbolic engine: points are PolyVectors of length d.  For the
-    quadratic families each component matrix is affine in one
-    indeterminate."""
+class _PolyComponents(ComponentOracle, SingleRunEngine):
+    """A quadratic family's (Q, q) components with exact entries."""
 
-    def __init__(self, n, d, nvars):
-        self.n = n
-        self.d = d
-        self.nvars = nvars
-
-    def zero(self) -> PolyVector:
-        return PolyVector.zeros(self.d, self.nvars)
-
-    def add_to_entry(self, w: PolyVector, i, t):
-        return w.with_entry(i, w[i] + t)
-
-    def grad_entry(self, j, i, w):
-        return self.comp_grad(j, w)[i]
-
-
-class ToySymEngine(_SymEngine):
-    def __init__(self):
-        super().__init__(n=1, d=1, nvars=1)
-        self.eta = MultiPoly.var(1, 0)
-
-    def comp_grad(self, j, w):
-        return PolyVector([self.eta * w[0] - 1])
+    def __init__(self, components, d, nvars):
+        super().__init__(len(components), PolyVector.zeros(d, nvars))
+        self.components = components
 
     def diag(self, j, i):
-        raise NotImplementedError("toy component diagonal is the indeterminate itself")
+        dg = super().diag(j, i)
+        if isinstance(dg, MultiPoly):
+            raise ValueError("the exact coordinate step divides by the indeterminate, "
+                             "so it has no polynomial trace")
+        return dg
 
 
-class SmoothSymEngine(_SymEngine):
-    def __init__(self, R, d):
-        super().__init__(n=1, d=d, nvars=1)
-        self.R = _frac(R)
-        self.eta = MultiPoly.var(1, 0)
+class _PolyPairs(PairOracle, SingleRunEngine):
+    """The dual family's pair blocks, off-diagonal entries affine in sin psi."""
 
-    def comp_grad(self, j, w):
-        out = [self.eta * e for e in w.entries]
-        out[0] = out[0] - self.eta * self.R
-        return PolyVector(out)
-
-    def diag(self, j, i):
-        raise NotImplementedError("smooth component diagonal is the indeterminate itself")
+    def __init__(self, blocks, lin):
+        pairs = len(blocks[0])
+        super().__init__(2 * pairs, PolyVector.zeros(2 * pairs, pairs))
+        self.blocks, self.lin = blocks, lin
 
 
-class FsmSymEngine(_SymEngine):
-    def __init__(self, n, d, L, mu, R):
-        super().__init__(n=n, d=d, nvars=n)
-        self.h = _frac((float(L) + float(mu)) / 2)
-        self.mu = _frac(mu)
-        q0 = _frac(float(R) * float(mu) / math.sqrt(2))
-        self.q = [q0, q0] + [Fraction(0)] * (d - 2)
-
-    def comp_grad(self, j, w):
-        e = MultiPoly.var(self.nvars, j)
-        out = [wi * self.mu for wi in w.entries]
-        out[0] = w[0] * self.h + e * w[1]
-        out[1] = e * w[0] + w[1] * self.h
-        return PolyVector([o - qi if qi else o for o, qi in zip(out, self.q)])
-
-    def diag(self, j, i):
-        return self.h if i < 2 else self.mu
-
-
-class RlmSymEngine(_SymEngine):
-    """Dual family: coordinates paired, block entries affine in s_j = sin psi_j."""
-
-    def __init__(self, n, lam):
-        if n % 2:
-            raise ValueError("n must be even")
-        super().__init__(n=n, d=n, nvars=n // 2)
-        ln = float(lam) * n
-        self.dg = _frac((1 + 1 / ln) / n)
-        self.off_coef = _frac(1 / (ln * n))
-        self.lin = _frac(1 / n)
-
-    def grad_entry(self, j, a):
-        pair, pos = divmod(j, 2)
-        other = a[2 * pair + 1 - pos]
-        s = MultiPoly.var(self.nvars, pair)
-        return a[j] * self.dg + s * other * self.off_coef - self.lin
-
-    def diag(self, j):
-        return self.dg
+def _objects(values) -> np.ndarray:
+    return np.array(values, dtype=object)
 
 
 def _sym_engine(family, n=1, d=1, L=1.0, mu=1.0, R=1.0, lam=0.01):
+    """The family's oracle structures over exact entries; each constant is one
+    float expression coerced to the rational it rounds to."""
+    eta = MultiPoly.var(1, 0)
     if family == "toy":
-        return ToySymEngine()
+        return _PolyComponents([(DenseSym(_objects([[eta]])), _objects([1]))], 1, 1)
     if family == "smooth":
-        return SmoothSymEngine(R, d)
+        q = _objects([eta * _frac(R)] + [Fraction(0)] * (d - 1))
+        return _PolyComponents([(DenseSym(np.eye(d, dtype=object) * eta), q)], d, 1)
     if family == "fsm":
-        return FsmSymEngine(n, d, L, mu, R)
+        if d < 2:
+            raise ValueError("need d >= 2")
+        h = _frac((float(L) + float(mu)) / 2)
+        q0 = _frac(float(R) * float(mu) / math.sqrt(2))
+        q = _objects([q0, q0] + [Fraction(0)] * (d - 2))
+        return _PolyComponents([(Block2Diag(d, h, MultiPoly.var(n, j), _frac(mu)), q)
+                                for j in range(n)], d, n)
     if family == "rlm":
-        return RlmSymEngine(n, lam)
+        if n % 2:
+            raise ValueError("n must be even")
+        ln = float(lam) * n
+        off = _frac(1 / (ln * n))
+        blocks = ([_frac((1 + 1 / ln) / n)] * (n // 2),
+                  [MultiPoly.var(n // 2, p) * off for p in range(n // 2)])
+        return _PolyPairs(blocks, _frac(1 / n))
     raise ValueError(f"unknown family {family!r}")
 
 
 def _check_budget(vec: PolyVector, family: str, calls: int):
     if family == "rlm":
-        for e in vec.entries:
+        for e in vec:
             if e.total_degree > calls:
                 raise DegreeViolation(f"coordinate degree {e.total_degree} > {calls} calls")
         if vec.variable_degree_sum() > calls:
@@ -151,7 +113,7 @@ def _check_budget(vec: PolyVector, family: str, calls: int):
     if deg > calls:
         raise DegreeViolation(f"total degree {deg} > {calls} calls")
     if family == "smooth":
-        for e in vec.entries:
+        for e in vec:
             if e.constant_term() != 0:
                 raise DegreeViolation("smooth-family iterate has a nonzero constant term")
 
@@ -181,7 +143,7 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
 
     state = _drive(schedule, engine, ask, lambda: log.total,
                    lambda w: _check_budget(w, family, log.total), np.empty(k + 1, object))
-    return PolyVector(state["w"].entries, budget=k)
+    return PolyVector(state["w"], budget=k)
 
 
 def trace_gd_toy(k: int, L) -> UniPoly:

@@ -200,6 +200,11 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
     ["trace", "--opt", "sgd", "--k", "-1"],
     ["bounds", "--kmax", "-1"],
     ["approx-check", "--kmax", "-1"],
+    ["trace", "--opt", "cd_cyclic", "--family", "toy"],
+    ["trace", "--opt", "cd_random", "--family", "toy"],
+    ["trace", "--opt", "cd_cyclic", "--family", "smooth", "--d", "1"],
+    ["trace", "--opt", "cd_random", "--family", "smooth", "--d", "3"],
+    ["trace", "--opt", "gd", "--family", "fsm", "--d", "1"],
 ])
 def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
     assert cli.main(argv) == EXIT_CONFIG
@@ -207,6 +212,21 @@ def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("config error: ")
+
+
+def test_approx_check_grid_defaults_to_config(capsys, tmp_path):
+    # degree 0 needs 8 grid points: the config's approx_grid is what runs
+    # unless --grid is given
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[run]\napprox_grid = 7\n")
+    argv = ["approx-check", "--kmax", "0", "--config", str(ini)]
+    assert cli.main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: grid too coarse for the requested degree\n"
+    assert cli.main(argv + ["--grid", "8"]) == EXIT_OK
+    from_flag = capsys.readouterr().out.splitlines()
+    ini.write_text("[run]\napprox_grid = 8\n")
+    assert cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == from_flag[1:]
 
 
 def test_cli_verify_all(capsys):

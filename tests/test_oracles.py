@@ -109,16 +109,6 @@ def test_call_log_accounting():
     assert log.component_touches[3] == 1
 
 
-def test_call_log_csv():
-    log = CallLog()
-    eng = fsm_engine()
-    answer(eng, np.zeros(4), FirstOrder(a=1.0, b=0.0, j=2), log)
-    csv = log.to_csv()
-    assert "variant,count" in csv
-    assert "FirstOrder,1" in csv
-    assert "2,1" in csv
-
-
 def test_call_log_query_recording():
     log = CallLog()
     log.record_queries = True

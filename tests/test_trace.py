@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lblab import cli
 from lblab.bounds import maxnorm_lb
 from lblab.instances import toy_instance
 from lblab.optimizers import Schedule, make_optimizer, run
@@ -122,3 +126,43 @@ def test_trace_sup_error_validates_grid():
     vec = trace_oblivious(make_optimizer("gd", L=4.0, mu=1.0), "toy", 2, L=4.0, mu=1.0)
     with pytest.raises(ValueError):
         trace_sup_error(vec, "toy", [])
+
+
+# sha256 of `lblab trace --opt <opt> <family flags> --k 7 --seed 1 --kappa 7`:
+# every family and every kind of query, first-order (full and stochastic),
+# steepest coordinate and dual coordinate
+FAMILY_FLAGS = {
+    "fsm": ("--family", "fsm", "--n", "3", "--d", "4"),
+    "rlm": ("--family", "rlm", "--n", "6"),
+    "toy": ("--family", "toy"),
+    "smooth-d1": ("--family", "smooth", "--d", "1"),
+    "smooth-d3": ("--family", "smooth", "--d", "3"),
+}
+TRACE_PINS = {
+    "sgd-fsm": "dcd2898212360d9c1b89c36e9b62e0906f3da1cc23c7762a19e6179e30e8dcd6",
+    "saga-fsm": "a146833a79d0997675b9d8ffa2815f3b9f54ca7bb6db9471d7135aabb5b7a792",
+    "svrg-fsm": "574d44d705a5e6c5ac89970901770813e232b7d3fd306ece25355d3b95dd678f",
+    "sdca_primal-fsm": "3a5b0eaeecddd9a20f3c48bd07592cbb80a88461da9f942549cae87ce42e0f76",
+    "cd_cyclic-fsm": "7f1f0e401578bc7560836ac77fa1e5430029a22c494602e1c51b935f3768c6a2",
+    "sdca-rlm": "e1c930f6d6be0bdf03d1f5381fd3c098992e065f7a2263a7c0e260bc76e51d47",
+    "gd-toy": "22baff3b3754133328274011c8b3fc3cff46f824844e28fbe68c14e54f1f27c1",
+    "agd-toy": "a14b63e51fdbbd57d4cee248bfceb270f1293e0877fab8d19ef587e70a894453",
+    "hb-toy": "4703868d7a63c4b0d4b3e91261ab96bd0f49127d5c536df76d333f5ff5a8345b",
+    "gd-smooth-d1": "13a6332c8429075276ef55a2c43855984b84ec70b1eda444ab194af18546abf5",
+    "agd-smooth-d1": "81d1ab463b6fa93bce23f29a6df35446d04c549bcaaab60d776c060561a8713d",
+    "hb-smooth-d1": "710ad20a353c61fe588bbb95c580ce017fa3d0681ffbb34255a67d8ab3052c7e",
+    "gd-smooth-d3": "991c65d3904e1708cf25c396e5ca4a96c736d5e813ba09dfc9936771b91e5f0d",
+    "agd-smooth-d3": "45c91af2ee757851b49b7c727737db1898bd39d1b37af963cf316f4145b55d64",
+    "hb-smooth-d3": "5e8f8bb59fe1aa5d0d19ba73c204e8a92043e7b0c1b4eaadb4cfcf4ee7386f75",
+}
+
+
+@pytest.mark.parametrize("case", TRACE_PINS)
+def test_trace_output_bytes_pinned(case):
+    opt, family = case.split("-", 1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["trace", "--opt", opt, *FAMILY_FLAGS[family], "--k", "7",
+                         "--seed", "1", "--kappa", "7"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TRACE_PINS[case]
