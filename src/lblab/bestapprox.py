@@ -19,15 +19,19 @@ from numpy.polynomial import chebyshev as npcheb
 
 
 class ConditioningError(ValueError):
-    pass
+    """A solve that cannot be certified at this size: an LP the solver gives
+    up on or whose duality gap is too wide, or a Gram matrix too
+    ill-conditioned to factor."""
 
 
 def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first solve: only the LP
-    solvers need scipy.optimize, and importing it takes longer than most
-    commands take to run."""
+    """`scipy.optimize.linprog` with HiGHS, imported on the first solve: only
+    the LP solvers need scipy.optimize, and importing it takes longer than
+    most commands take to run.  Presolve is off: on these dense LPs it cost
+    more than the simplex (the one-row degree-0 L1 dual took 0.6 s with it and
+    0.05 s without on a 2-core machine) and changed no objective."""
     from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
+    return solve(*args, method="highs", options={"presolve": False}, **kwargs)
 
 
 def _cheb_grid(a: float, b: float, m: int) -> np.ndarray:
@@ -85,9 +89,9 @@ def best_uniform(f, interval, k: int, grid: int = 4097):
     b_ub = np.concatenate([y, -y])
     cost = np.zeros(nc + 1)
     cost[-1] = 1.0
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (nc + 1), method="highs")
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (nc + 1))
     if not res.success:
-        raise RuntimeError(f"minimax LP failed: {res.message}")
+        raise ConditioningError(f"minimax LP failed: {res.message}")
     coef = _to_monomial(res.x[:nc], a, b)
     xf = _cheb_grid(a, b, 10 * grid)
     yf = _sample(f, xf)
@@ -121,14 +125,13 @@ def best_l1(f, interval, k: int, grid: int = 8193):
         if grid < 8 * (k + 1):
             raise ValueError("grid too coarse for the requested degree")
         V = _design(x, a, b, k)
-        res = linprog(-y, A_eq=V.T, b_eq=np.zeros(k + 1), bounds=np.column_stack([-w, w]),
-                      method="highs")
+        res = linprog(-y, A_eq=V.T, b_eq=np.zeros(k + 1), bounds=np.column_stack([-w, w]))
         if not res.success:
-            raise RuntimeError(f"L1 LP failed: {res.message}")
+            raise ConditioningError(f"L1 LP failed: {res.message}")
         ccoef = -res.eqlin.marginals
         primal, dual = float(w @ np.abs(V @ ccoef - y)), -res.fun
         if abs(primal - dual) > 1e-9 * max(primal, abs(dual)):
-            raise RuntimeError(f"L1 LP duality gap too large: primal {primal!r}, dual {dual!r}")
+            raise ConditioningError(f"L1 LP duality gap too large: primal {primal!r}, dual {dual!r}")
         coef = _to_monomial(ccoef, a, b)
     xf = np.linspace(a, b, 10 * grid)
     yf = _sample(f, xf)
@@ -137,32 +140,62 @@ def best_l1(f, interval, k: int, grid: int = 8193):
     return err, coef
 
 
-def best_weighted_l2(alpha: float, k: int, dps: int = 60):
+def _gram_cholesky(alpha, kmax: int):
+    """(g00, L, z) at the current mpmath precision for the basis
+    g_i = eta^(i + (1+alpha)/2) under <g_i, g_j> = 1/(i+j+alpha+2): L is the
+    Cholesky factor of the kmax x kmax Gram matrix of g_1..g_kmax and
+    z = L^-1 b with b_i = <g_0, g_i>.  The leading k x k block of L and the
+    first k entries of z are those of degree k, so its squared error is
+    g00 - sum_{i<k} z_i^2."""
+    if not (-1 < alpha < 0):
+        raise ValueError("alpha must lie in (-1, 0)")
+    if kmax < 0:
+        raise ValueError("k must be nonnegative")
+    if kmax > 12:
+        raise ConditioningError("Gram matrix too ill-conditioned beyond k = 12")
+    if isinstance(alpha, Fraction):  # mpf takes no Fraction; the division rounds once
+        al = mpmath.mpf(alpha.numerator) / alpha.denominator
+    else:
+        al = mpmath.mpf(alpha)
+    G = mpmath.matrix(kmax, kmax)
+    for i in range(1, kmax + 1):
+        for j in range(1, kmax + 1):
+            G[i - 1, j - 1] = 1 / (i + j + al + 2)
+    L = mpmath.cholesky(G)
+    z = mpmath.matrix(kmax, 1)
+    for i in range(kmax):  # forward substitution
+        b = 1 / (i + 1 + al + 2)
+        z[i] = (b - mpmath.fdot((L[i, j], z[j]) for j in range(i))) / L[i, i]
+    return 1 / (al + 2), L, z
+
+
+def _squared_errors(alpha, g00, z) -> list:
+    # degree 0 is the plain float <g_0, g_0>, as the empty basis needs no solve
+    errs, err2 = [1.0 / (alpha + 2)], g00
+    for zi in z:
+        err2 -= zi * zi
+        errs.append(float(err2))
+    return errs
+
+
+def weighted_l2_errors(alpha, kmax: int, dps: int = 60) -> list:
+    """Squared best weighted-L2 errors of `best_weighted_l2` for k = 0..kmax,
+    all from one Cholesky factorization of the kmax x kmax Gram matrix."""
+    with mpmath.workdps(dps):
+        g00, _, z = _gram_cholesky(alpha, kmax)
+        return _squared_errors(alpha, g00, z)
+
+
+def best_weighted_l2(alpha, k: int, dps: int = 60):
     """Best weighted-L2 approximation of eta^((1+alpha)/2) by the basis
     eta^(i + (1+alpha)/2), i = 1..k, under the inner product
     <g_i, g_j> = integral_0^1 eta^(i+j+1+alpha) = 1/(i+j+alpha+2).
 
     Returns (squared error, basis coefficients).  The Gram matrix is
-    Hilbert-like; assembled exactly in rationals where possible and solved in
-    high precision, refused beyond k = 12.
+    Hilbert-like; it is factored by Cholesky in high precision and the
+    coefficients back-substituted, refused beyond k = 12.
     """
-    if not (-1 < alpha < 0):
-        raise ValueError("alpha must lie in (-1, 0)")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > 12:
-        raise ConditioningError("Gram matrix too ill-conditioned beyond k = 12")
-    if k == 0:
-        return 1.0 / (alpha + 2), []
     with mpmath.workdps(dps):
-        al = mpmath.mpf(Fraction(alpha)) if isinstance(alpha, Fraction) else mpmath.mpf(alpha)
-        G = mpmath.matrix(k, k)
-        rhs = mpmath.matrix(k, 1)
-        for i in range(1, k + 1):
-            rhs[i - 1] = 1 / (i + al + 2)
-            for j in range(1, k + 1):
-                G[i - 1, j - 1] = 1 / (i + j + al + 2)
-        c = mpmath.lu_solve(G, rhs)
-        g00 = 1 / (al + 2)
-        err2 = g00 - sum(c[i] * rhs[i] for i in range(k))
-        return float(err2), [float(c[i]) for i in range(k)]
+        g00, L, z = _gram_cholesky(alpha, k)
+        c = mpmath.mp.U_solve(L.T, z)
+        return _squared_errors(alpha, g00, z)[-1], [float(ci) for ci in c]

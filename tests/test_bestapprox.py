@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lblab.bestapprox import (ConditioningError, best_l1, best_uniform,
-                              best_weighted_l2)
+                              best_weighted_l2, weighted_l2_errors)
 from lblab.bounds import chebyshev_lb_inf, l1_lb, l2_weighted_exact, maxnorm_lb
 
 
@@ -86,6 +87,13 @@ def test_l1_matches_markov_interpolant():
         assert markov * (1 - 1e-12) <= err <= markov * (1 + 1e-5), (k, err, markov)
 
 
+def test_l1_uncertified_degree_is_a_conditioning_error():
+    # on the 8193-point grid the degree-9 dual LP misses the 1e-9 duality-gap
+    # certificate; the refusal is a ValueError, so the CLI exits 3
+    with pytest.raises(ConditioningError, match="duality gap"):
+        best_l1(lambda x: 1 / (x + 2.5), (-1.5, 1.5), 9)
+
+
 def test_l1_monotone_in_k():
     errs = [best_l1(inv, (1, 4), k)[0] for k in range(-1, 5)]
     assert all(a >= b - 1e-10 for a, b in zip(errs, errs[1:]))
@@ -104,10 +112,49 @@ def test_weighted_l2_base_cases():
     assert coefs == []
     err2, _ = best_weighted_l2(-0.5, 1)
     assert err2 == pytest.approx(0.10666666666, rel=1e-8)
+    # degree 0 is the float 1/(alpha + 2), one ulp above the rounded
+    # high-precision value at alpha = -0.05
+    assert best_weighted_l2(-0.05, 0)[0] == weighted_l2_errors(-0.05, 2)[0] == 1 / 1.95
 
 
 def test_weighted_l2_refuses_ill_conditioned():
-    with pytest.raises(ConditioningError):
-        best_weighted_l2(-0.5, 13)
-    with pytest.raises(ValueError):
-        best_weighted_l2(0.0, 2)
+    for solve in (best_weighted_l2, weighted_l2_errors):
+        with pytest.raises(ConditioningError):
+            solve(-0.5, 13)
+        with pytest.raises(ValueError):
+            solve(0.0, 2)
+        with pytest.raises(ValueError):
+            solve(-0.5, -1)
+
+
+ALPHAS = (-0.9, -0.7, -0.5, -0.3, -0.1, Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+def test_weighted_l2_errors_equal_per_degree_solves(alpha):
+    # one factorization gives every degree's error, bit for bit
+    errs = weighted_l2_errors(alpha, 12)
+    assert len(errs) == 13
+    for k, err2 in enumerate(errs):
+        assert err2 == best_weighted_l2(alpha, k)[0], k
+
+
+def test_weighted_l2_fraction_alpha():
+    # -1/2 is exact in binary, so the Fraction and float paths agree exactly
+    assert weighted_l2_errors(Fraction(-1, 2), 8) == weighted_l2_errors(-0.5, 8)
+    for k, err2 in enumerate(weighted_l2_errors(Fraction(-1, 3), 8)):
+        assert err2 == pytest.approx(l2_weighted_exact(-1 / 3, k), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", (-0.9, Fraction(-1, 3)), ids=str)
+def test_weighted_l2_coefficients_solve_normal_equations(alpha):
+    # sum_j <g_i, g_j> c_j = <g_i, g_0> for i = 1..k, checked in exact rationals
+    a = Fraction(alpha)
+    for k in (1, 4, 8):
+        _, coefs = best_weighted_l2(alpha, k)
+        assert len(coefs) == k
+        c = [Fraction(x) for x in coefs]
+        for i in range(1, k + 1):
+            terms = [cj / (i + j + a + 2) for j, cj in enumerate(c, start=1)]
+            residual = sum(terms) - 1 / (i + a + 2)
+            assert abs(residual) <= 1e-12 * sum(abs(t) for t in terms), (k, i)

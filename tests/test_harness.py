@@ -1,10 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from lblab import cli, harness
+from lblab import bestapprox, cli, harness
 from lblab.harness import (EXIT_CONFIG, EXIT_OK, ConfigError, ExperimentConfig,
                            cmd_envelope, cmd_fig1, cmd_sampling_compare,
                            cmd_trace, load_config, log_slope_fit, verify_all,
@@ -227,6 +228,26 @@ def test_approx_check_grid_defaults_to_config(capsys, tmp_path):
     ini.write_text("[run]\napprox_grid = 8\n")
     assert cli.main(argv) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1:] == from_flag[1:]
+
+
+def test_approx_check_output_bytes(capsys):
+    # the bytes this command printed with a per-degree LU solve and HiGHS
+    # presolve: the Gram factorization and the LP options keep them
+    assert cli.main(["approx-check", "--kmax", "8"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a436b0ed975999046233179077dd009a604d606491ff51966db291e0f8259ee3")
+
+
+def test_approx_check_refuses_kmax_beyond_gram_before_any_lp(capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(bestapprox, "linprog", lambda *a, **kw: solves.append(a))
+    assert cli.main(["approx-check", "--kmax", "13"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ")
+    assert solves == []
 
 
 def test_cli_verify_all(capsys):
