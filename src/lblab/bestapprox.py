@@ -18,6 +18,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 
+_DPS = 60  # mpmath working precision of the weighted-L2 Gram solves
+
+
 class ConditioningError(ValueError):
     """A solve that cannot be certified at this size: an LP the solver gives
     up on or whose duality gap is too wide, or a Gram matrix too
@@ -178,24 +181,24 @@ def _squared_errors(alpha, g00, z) -> list:
     return errs
 
 
-def weighted_l2_errors(alpha, kmax: int, dps: int = 60) -> list:
+def weighted_l2_errors(alpha, kmax: int) -> list:
     """Squared best weighted-L2 errors of `best_weighted_l2` for k = 0..kmax,
     all from one Cholesky factorization of the kmax x kmax Gram matrix."""
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_DPS):
         g00, _, z = _gram_cholesky(alpha, kmax)
         return _squared_errors(alpha, g00, z)
 
 
-def best_weighted_l2(alpha, k: int, dps: int = 60):
+def best_weighted_l2(alpha, k: int):
     """Best weighted-L2 approximation of eta^((1+alpha)/2) by the basis
     eta^(i + (1+alpha)/2), i = 1..k, under the inner product
     <g_i, g_j> = integral_0^1 eta^(i+j+1+alpha) = 1/(i+j+alpha+2).
 
     Returns (squared error, basis coefficients).  The Gram matrix is
-    Hilbert-like; it is factored by Cholesky in high precision and the
+    Hilbert-like; it is factored by Cholesky at `_DPS` digits and the
     coefficients back-substituted, refused beyond k = 12.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_DPS):
         g00, L, z = _gram_cholesky(alpha, k)
         c = mpmath.mp.U_solve(L.T, z)
         return _squared_errors(alpha, g00, z)[-1], [float(ci) for ci in c]

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -130,13 +131,37 @@ def test_weighted_l2_refuses_ill_conditioned():
 ALPHAS = (-0.9, -0.7, -0.5, -0.3, -0.1, Fraction(-1, 3))
 
 
+def _lu_weighted_l2(alpha, k):
+    """Reference for degree k: its own k x k Gram system solved by LU at 60
+    digits, err^2 = g00 - c . rhs; degree 0 is the float 1/(alpha + 2)."""
+    if k == 0:
+        return 1.0 / (alpha + 2), []
+    with mpmath.workdps(60):
+        if isinstance(alpha, Fraction):
+            al = mpmath.mpf(alpha.numerator) / alpha.denominator
+        else:
+            al = mpmath.mpf(alpha)
+        G = mpmath.matrix(k, k)
+        rhs = mpmath.matrix(k, 1)
+        for i in range(1, k + 1):
+            rhs[i - 1] = 1 / (i + al + 2)
+            for j in range(1, k + 1):
+                G[i - 1, j - 1] = 1 / (i + j + al + 2)
+        c = mpmath.lu_solve(G, rhs)
+        err2 = 1 / (al + 2) - sum(c[i] * rhs[i] for i in range(k))
+        return float(err2), [float(ci) for ci in c]
+
+
 @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
 def test_weighted_l2_errors_equal_per_degree_solves(alpha):
-    # one factorization gives every degree's error, bit for bit
+    # one factorization gives every degree's error, bit for bit the per-degree
+    # LU solve's, and best_weighted_l2 gives the same error and coefficients
     errs = weighted_l2_errors(alpha, 12)
     assert len(errs) == 13
     for k, err2 in enumerate(errs):
-        assert err2 == best_weighted_l2(alpha, k)[0], k
+        ref_err2, ref_coefs = _lu_weighted_l2(alpha, k)
+        assert err2 == ref_err2, k
+        assert best_weighted_l2(alpha, k) == (ref_err2, ref_coefs), k
 
 
 def test_weighted_l2_fraction_alpha():
