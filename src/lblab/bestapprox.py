@@ -13,18 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 
-_DPS = 60  # mpmath working precision of the weighted-L2 Gram solves
-
-
 class ConditioningError(ValueError):
-    """A solve that cannot be certified at this size: an LP the solver gives
-    up on or whose duality gap is too wide, or a Gram matrix too
-    ill-conditioned to factor."""
+    """An LP that cannot be certified at this size: the solver gives up on it
+    or its duality gap is too wide."""
 
 
 def linprog(*args, **kwargs):
@@ -143,50 +138,42 @@ def best_l1(f, interval, k: int, grid: int = 8193):
     return err, coef
 
 
-def _gram_cholesky(alpha, kmax: int):
-    """(g00, L, z) at the current mpmath precision for the basis
-    g_i = eta^(i + (1+alpha)/2) under <g_i, g_j> = 1/(i+j+alpha+2): L is the
-    Cholesky factor of the kmax x kmax Gram matrix of g_1..g_kmax and
-    z = L^-1 b with b_i = <g_0, g_i>.  The leading k x k block of L and the
-    first k entries of z are those of degree k, so its squared error is
-    g00 - sum_{i<k} z_i^2."""
+def _gram_elimination(alpha, kmax: int) -> list:
+    """Gaussian elimination, in exact rationals, of [G | b] for the basis
+    g_i = eta^(i + (1+alpha)/2): G_ij = <g_i, g_j> = 1/(i+j+alpha+2) for
+    i, j = 1..kmax and b_i = <g_0, g_i>.  Returns the rows [U_p | y_p], valid
+    from the diagonal on; the leading k are degree k's, whose squared error is
+    <g_0, g_0> - sum_{p<k} y_p^2 / U_pp.  A float alpha is an exact rational."""
     if not (-1 < alpha < 0):
         raise ValueError("alpha must lie in (-1, 0)")
     if kmax < 0:
         raise ValueError("k must be nonnegative")
-    if kmax > 12:
-        raise ConditioningError("Gram matrix too ill-conditioned beyond k = 12")
-    if isinstance(alpha, Fraction):  # mpf takes no Fraction; the division rounds once
-        al = mpmath.mpf(alpha.numerator) / alpha.denominator
-    else:
-        al = mpmath.mpf(alpha)
-    G = mpmath.matrix(kmax, kmax)
-    for i in range(1, kmax + 1):
-        for j in range(1, kmax + 1):
-            G[i - 1, j - 1] = 1 / (i + j + al + 2)
-    L = mpmath.cholesky(G)
-    z = mpmath.matrix(kmax, 1)
-    for i in range(kmax):  # forward substitution
-        b = 1 / (i + 1 + al + 2)
-        z[i] = (b - mpmath.fdot((L[i, j], z[j]) for j in range(i))) / L[i, i]
-    return 1 / (al + 2), L, z
+    a = Fraction(alpha) + 2
+    rows = [[1 / (i + j + a) for j in range(1, kmax + 1)] + [1 / (i + a)]
+            for i in range(1, kmax + 1)]
+    for p, pivot in enumerate(rows):
+        for r in range(p + 1, kmax):
+            # the trailing block stays symmetric, so row r's multiplier is
+            # pivot[r] and only its entries from column r on are updated
+            m, row = pivot[r] / pivot[p], rows[r]
+            for j in range(r, kmax + 1):
+                row[j] -= m * pivot[j]
+    return rows
 
 
-def _squared_errors(alpha, g00, z) -> list:
+def _squared_errors(alpha, rows) -> list:
     # degree 0 is the plain float <g_0, g_0>, as the empty basis needs no solve
-    errs, err2 = [1.0 / (alpha + 2)], g00
-    for zi in z:
-        err2 -= zi * zi
+    errs, err2 = [1.0 / (alpha + 2)], 1 / (Fraction(alpha) + 2)
+    for p, row in enumerate(rows):
+        err2 -= row[-1] ** 2 / row[p]
         errs.append(float(err2))
     return errs
 
 
 def weighted_l2_errors(alpha, kmax: int) -> list:
     """Squared best weighted-L2 errors of `best_weighted_l2` for k = 0..kmax,
-    all from one Cholesky factorization of the kmax x kmax Gram matrix."""
-    with mpmath.workdps(_DPS):
-        g00, _, z = _gram_cholesky(alpha, kmax)
-        return _squared_errors(alpha, g00, z)
+    all from one elimination of the kmax x kmax Gram system."""
+    return _squared_errors(alpha, _gram_elimination(alpha, kmax))
 
 
 def best_weighted_l2(alpha, k: int):
@@ -195,10 +182,12 @@ def best_weighted_l2(alpha, k: int):
     <g_i, g_j> = integral_0^1 eta^(i+j+1+alpha) = 1/(i+j+alpha+2).
 
     Returns (squared error, basis coefficients).  The Gram matrix is
-    Hilbert-like; it is factored by Cholesky at `_DPS` digits and the
-    coefficients back-substituted, refused beyond k = 12.
+    Hilbert-like, so it is eliminated in exact rationals and the
+    coefficients back-substituted before rounding to floats.
     """
-    with mpmath.workdps(_DPS):
-        g00, L, z = _gram_cholesky(alpha, k)
-        c = mpmath.mp.U_solve(L.T, z)
-        return _squared_errors(alpha, g00, z)[-1], [float(ci) for ci in c]
+    rows = _gram_elimination(alpha, k)
+    c = [Fraction(0)] * k
+    for p in reversed(range(k)):
+        row = rows[p]
+        c[p] = (row[-1] - sum(row[j] * c[j] for j in range(p + 1, k))) / row[p]
+    return _squared_errors(alpha, rows)[-1], [float(ci) for ci in c]

@@ -125,6 +125,12 @@ def fsm_rate_envelope(kappa: float, n: int, k, prefactor: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
+def fsm_envelope_prefactor(mu: float, L: float, n: int, R: float) -> float:
+    """The appendix prefactor of the fsm envelope:
+    (mu/2) (n R mu / (sqrt(2) (L - mu)))**2."""
+    return (mu / 2) * (n * R * mu / (math.sqrt(2) * (L - mu))) ** 2
+
+
 def rlm_rate_envelope(lam: float, n: int, k):
     """(1/2)(n lam/2)^2 ((sqrt(2/(lam n)+1) - 1)/(sqrt(2/(lam n)+1) + 1))**(2k/n)."""
     root = math.sqrt(2 / (lam * n) + 1)

@@ -35,7 +35,8 @@ def _add_common(p):
 
 def _config(args):
     overrides = {k: getattr(args, k, None)
-                 for k in ("family", "n", "d", "iterations", "seeds", "grid_points", "kappa")}
+                 for k in ("family", "n", "d", "iterations", "seeds", "grid_points", "kappa",
+                           "approx_grid")}
     return harness.load_config(args.config, **overrides)
 
 
@@ -51,7 +52,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("approx-check", help="analytic bounds vs brute-force optima")
     _add_common(p)
     p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--grid", type=int, help="sample points (default: the config's approx_grid)")
+    p.add_argument("--grid", type=int, dest="approx_grid",
+                   help="sample points (default: the config's approx_grid)")
 
     p = sub.add_parser("trace", help="symbolic iterate polynomials (JSON lines)")
     _add_common(p)
@@ -95,8 +97,7 @@ def main(argv=None) -> int:
             out = harness.write_csv(args.out, ["k", "bound"], rows, cfg.hash(),
                                     units=args.formula)
         elif args.command == "approx-check":
-            grid = cfg.approx_grid if args.grid is None else args.grid
-            rows = harness.approx_check_rows(args.kmax, grid)
+            rows = harness.approx_check_rows(args.kmax, cfg.approx_grid)
             out = harness.write_csv(args.out, ["norm", "k", "analytic_lb", "bruteforce", "ratio"],
                                     rows, cfg.hash(), units="approximation error")
         elif args.command == "trace":

@@ -46,7 +46,7 @@ class ExperimentConfig:
     outdir: str = "out"
     approx_grid: int = 4097
     lbfgs_memory: int = 100
-    envelope_prefactor: str = "appendix"  # (mu/2)(nRmu/(sqrt2(L-mu)))^2
+    envelope_prefactor: str = "appendix"  # bounds.fsm_envelope_prefactor
 
     @property
     def kappa(self) -> float:
@@ -180,31 +180,27 @@ def write_svg(path, curves, title="", logy=True, width=640, height=420):
 # command bodies
 
 
-def envelope_prefactor(cfg: ExperimentConfig) -> float:
-    return (cfg.mu / 2) * (cfg.n * cfg.R * cfg.mu / (math.sqrt(2) * (cfg.L - cfg.mu))) ** 2
-
-
 def approx_check_rows(kmax: int, grid: int):
-    """norm,k,analytic_lb,bruteforce,ratio rows for the three norms.  The
-    weighted-L2 solves come first, so a kmax beyond what the Gram matrix
-    takes is refused before any LP runs."""
-    alphas = (-0.9, -0.5, -0.1)
-    l2 = [bestapprox.weighted_l2_errors(alpha, kmax) for alpha in alphas]
-    rows = []
+    """norm,k,analytic_lb,bruteforce,ratio rows for the three norms, printed
+    inf, l1, l2.  The L1 LPs run first: their certificate fails first as kmax
+    grows, so a kmax they refuse costs no minimax LP and no Gram solve."""
     mu, L = 1.0, 4.0
     c = (L + mu) / 2
     half = (L - mu) / 2
-    for k in range(kmax + 1):
-        lb = bounds.maxnorm_lb(mu, L, 0.0, k)
-        bf, _ = bestapprox.best_uniform(lambda e: 1.0 / e, (mu, L), k, grid)
-        rows.append(["inf", k, lb, bf, bf / lb])
+    l1 = []
     for k in range(kmax + 1):
         lb = bounds.l1_lb(L, mu, c, k)
         bf, _ = bestapprox.best_l1(lambda e: 1.0 / (e + c), (-half, half), k - 1,
                                    max(grid, 8193))
-        rows.append(["l1", k, lb, bf, bf / lb])
-    for alpha, errs in zip(alphas, l2):
-        for k, bf in enumerate(errs):
+        l1.append(["l1", k, lb, bf, bf / lb])
+    rows = []
+    for k in range(kmax + 1):
+        lb = bounds.maxnorm_lb(mu, L, 0.0, k)
+        bf, _ = bestapprox.best_uniform(lambda e: 1.0 / e, (mu, L), k, grid)
+        rows.append(["inf", k, lb, bf, bf / lb])
+    rows += l1
+    for alpha in (-0.9, -0.5, -0.1):
+        for k, bf in enumerate(bestapprox.weighted_l2_errors(alpha, kmax)):
             lb = bounds.l2_weighted_lb(alpha, k)
             rows.append([f"l2[{alpha}]", k, lb, bf, bf / lb])
     return rows
@@ -225,7 +221,8 @@ FAMILIES = {
     "fsm": Family(
         fsm_scalar_grid,
         lambda cfg, eta: instances.fsm_instance(np.full(cfg.n, eta), cfg.L, cfg.mu, cfg.R, cfg.d),
-        lambda cfg, k: bounds.fsm_rate_envelope(cfg.kappa, cfg.n, k, envelope_prefactor(cfg))),
+        lambda cfg, k: bounds.fsm_rate_envelope(
+            cfg.kappa, cfg.n, k, bounds.fsm_envelope_prefactor(cfg.mu, cfg.L, cfg.n, cfg.R))),
     "toy": Family(
         lambda cfg: np.linspace(cfg.mu, cfg.L, cfg.grid_points),
         lambda cfg, eta: instances.toy_instance(eta, cfg.mu, cfg.L)),
@@ -394,6 +391,8 @@ def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0, out=None):
 def cmd_sampling_compare(cfg: ExperimentConfig, out=None):
     """With- vs without-replacement component sampling for SAG on the fsm
     family; reported, not asserted."""
+    if cfg.family != "fsm":
+        raise ConfigError(f"sampling-compare runs on the fsm family only, got {cfg.family!r}")
     eta = (cfg.L - cfg.mu) / 2
     inst = FAMILIES["fsm"].instance(cfg, -eta)
     sched = _schedule(cfg, "sag", "fsm")

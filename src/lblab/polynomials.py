@@ -25,7 +25,6 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 # Degree of the zero polynomial.  A sentinel (not -1) keeps max/+ arithmetic
@@ -389,7 +388,10 @@ def chebyshev_U_zeros(k: int) -> list:
     return [math.cos(j * math.pi / (k + 1)) for j in range(1, k + 1)]
 
 
-def sgn_chebyshev_moment(j: int, k: int, dps: int = 50):
+_MOMENT_DPS = 50  # mpmath working precision of `sgn_chebyshev_moment`
+
+
+def sgn_chebyshev_moment(j: int, k: int):
     """Integral of eta**j * sgn(U_k(eta)) over [-1, 1].
 
     Computed from the sign pattern, not by sampling: sgn(U_k) is piecewise
@@ -398,9 +400,10 @@ def sgn_chebyshev_moment(j: int, k: int, dps: int = 50):
     eta**(j+1)/(j+1) is evaluated at the breakpoints in high precision.
     For j <= k-1 the result vanishes (sign-pattern orthogonality).
     """
+    import mpmath  # on the first call, so importing lblab does not load it
     if k < 1:
         raise ValueError("k must be >= 1")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_MOMENT_DPS):
         pts = [mpmath.cos(mpmath.pi * m / (k + 1)) for m in range(k + 2)]
         # pts runs from +1 down to -1; piece m lies on (pts[m+1], pts[m])
         total = mpmath.mpf(0)

@@ -118,14 +118,26 @@ def test_weighted_l2_base_cases():
     assert best_weighted_l2(-0.05, 0)[0] == weighted_l2_errors(-0.05, 2)[0] == 1 / 1.95
 
 
-def test_weighted_l2_refuses_ill_conditioned():
+def test_weighted_l2_past_degree_12_and_bad_input():
+    # the exact elimination has no degree cap: degrees 13..40 match the
+    # closed form, and best_weighted_l2 gives degree 40's error
+    errs = weighted_l2_errors(-0.5, 40)
+    for k in range(13, 41):
+        assert errs[k] == pytest.approx(l2_weighted_exact(-0.5, k), rel=1e-12), k
+    err2, coefs = best_weighted_l2(-0.5, 40)
+    assert err2 == errs[40]
+    assert len(coefs) == 40
     for solve in (best_weighted_l2, weighted_l2_errors):
-        with pytest.raises(ConditioningError):
-            solve(-0.5, 13)
         with pytest.raises(ValueError):
             solve(0.0, 2)
         with pytest.raises(ValueError):
             solve(-0.5, -1)
+
+
+@pytest.mark.parametrize("alpha", (-0.999, -0.9, -0.5, -1 / 3, -0.1, -0.001), ids=str)
+def test_weighted_l2_errors_match_closed_form_to_degree_40(alpha):
+    for k, err2 in enumerate(weighted_l2_errors(alpha, 40)):
+        assert err2 == pytest.approx(l2_weighted_exact(alpha, k), rel=1e-12), k
 
 
 ALPHAS = (-0.9, -0.7, -0.5, -0.3, -0.1, Fraction(-1, 3))

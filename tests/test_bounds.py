@@ -149,12 +149,13 @@ def test_smooth_delta_form_exposed():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only identity_checks integrates and only bestapprox's LP solvers call
-    # scipy.optimize, so importing the CLI must pay for neither
+    # only identity_checks integrates, only bestapprox's LP solvers call
+    # scipy.optimize and only the sign-pattern moments use mpmath, so
+    # importing the CLI must pay for none of them
     src = os.path.dirname(os.path.dirname(lblab.__file__))
-    code = ("import sys, lblab.cli; "
-            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])")
+    code = ("import sys, lblab.cli; print([m in sys.modules "
+            "for m in ('scipy.integrate', 'scipy.optimize', 'mpmath')])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[False, False, False]"

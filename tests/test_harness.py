@@ -206,6 +206,7 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
     ["trace", "--opt", "cd_cyclic", "--family", "smooth", "--d", "1"],
     ["trace", "--opt", "cd_random", "--family", "smooth", "--d", "3"],
     ["trace", "--opt", "gd", "--family", "fsm", "--d", "1"],
+    ["sampling-compare", "--family", "rlm"],
 ])
 def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
     assert cli.main(argv) == EXIT_CONFIG
@@ -227,7 +228,10 @@ def test_approx_check_grid_defaults_to_config(capsys, tmp_path):
     from_flag = capsys.readouterr().out.splitlines()
     ini.write_text("[run]\napprox_grid = 8\n")
     assert cli.main(argv) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[1:] == from_flag[1:]
+    assert capsys.readouterr().out.splitlines() == from_flag
+    # the grid is part of the config, so another grid prints another hash
+    assert cli.main(argv + ["--grid", "9"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] != from_flag[0]
 
 
 def test_approx_check_output_bytes(capsys):
@@ -239,15 +243,19 @@ def test_approx_check_output_bytes(capsys):
         "a436b0ed975999046233179077dd009a604d606491ff51966db291e0f8259ee3")
 
 
-def test_approx_check_refuses_kmax_beyond_gram_before_any_lp(capsys, monkeypatch):
-    solves = []
-    monkeypatch.setattr(bestapprox, "linprog", lambda *a, **kw: solves.append(a))
-    assert cli.main(["approx-check", "--kmax", "13"]) == EXIT_CONFIG
+@pytest.mark.parametrize("kmax", ["13", "500"])
+def test_approx_check_refuses_kmax_at_the_l1_certificate_first(kmax, capsys, monkeypatch):
+    # the L1 LP loses its certificate at degree 9, so any kmax >= 10 exits 3
+    # before a minimax LP or a Gram elimination runs
+    calls = []
+    monkeypatch.setattr(bestapprox, "best_uniform", lambda *a, **kw: calls.append("inf"))
+    monkeypatch.setattr(bestapprox, "weighted_l2_errors", lambda *a, **kw: calls.append("l2"))
+    assert cli.main(["approx-check", "--kmax", kmax]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("config error: ")
-    assert solves == []
+    assert captured.err.startswith("config error: L1 LP duality gap too large")
+    assert calls == []
 
 
 def test_cli_verify_all(capsys):
