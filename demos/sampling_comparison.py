@@ -10,7 +10,7 @@ from lblab import harness
 
 cfg = harness.load_config(None, n=8, d=4, L=100.0, mu=1.0,
                           iterations=160, seeds=40)
-csv = harness.cmd_sampling_compare(cfg)
+_, csv = harness.cmd_sampling_compare(cfg)
 
 lines = csv.splitlines()
 print(lines[1])

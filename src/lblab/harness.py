@@ -1,9 +1,10 @@
 """Experiment configuration, CSV/SVG emission, and the command bodies behind
 the CLI subcommands.
 
-Conventions: CSV is the canonical artifact and always begins with a comment
-line carrying the config hash; SVG plots are a dependency-free convenience.
-Exit codes: 0 all checks pass, 2 envelope violation, 3 config error.
+Each `cmd_*` body returns (exit code, text), and the CLI writes the text.
+CSV is the canonical artifact and always begins with a comment line carrying
+the config hash; SVG plots are a dependency-free convenience.  Exit codes:
+0 success, 1 a failed verify-all check, 2 envelope violation, 3 config error.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ def load_config(path=None, kappa=None, **overrides) -> ExperimentConfig:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {cfg.iterations}")
+    for key in ("outdir", "envelope_prefactor"):  # hashed, but read by no command
+        default = getattr(ExperimentConfig, key)
+        if getattr(cfg, key) != default:
+            raise ConfigError(f"{key} is read by no command; leave it at {default!r}")
     return cfg
 
 
@@ -116,23 +121,13 @@ def worker_count() -> int:
     return 1
 
 
-def _write(path, text):
-    """Write `text` to `path` (creating its directory) unless path is None;
-    returns `text`."""
-    if path is not None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def write_csv(path, header_cols, rows, cfg_hash, units=""):
+def write_csv(header_cols, rows, cfg_hash, units=""):
     buf = io.StringIO()
     buf.write(f"# config_hash={cfg_hash} units={units}\n")
     buf.write(",".join(header_cols) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return _write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _fmt(v):
@@ -142,7 +137,8 @@ def _fmt(v):
 
 
 def write_svg(path, curves, title="", logy=True, width=640, height=420):
-    """Minimal polyline plot; curves is {label: (x, y)}."""
+    """Write a minimal polyline plot to `path` and return its text; curves
+    is {label: (x, y)}."""
     pad = 50
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in curves.values()])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in curves.values()])
@@ -173,7 +169,11 @@ def write_svg(path, curves, title="", logy=True, width=640, height=420):
         parts.append(f'<text x="{width-pad+4}" y="{pad+16*ci+12}" fill="{col}" '
                      f'font-size="11">{label}</text>')
     parts.append("</svg>")
-    return _write(path, "\n".join(parts))
+    text = "\n".join(parts)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +242,15 @@ FORMULAS = {
 }
 
 
-def bounds_table(formula: str, cfg: ExperimentConfig, kmax: int):
-    return [[k, float(FORMULAS[formula](cfg, k))] for k in range(kmax + 1)]
+def cmd_bounds(cfg: ExperimentConfig, formula: str, kmax: int):
+    rows = [[k, float(FORMULAS[formula](cfg, k))] for k in range(kmax + 1)]
+    return EXIT_OK, write_csv(["k", "bound"], rows, cfg.hash(), units=formula)
+
+
+def cmd_approx_check(cfg: ExperimentConfig, kmax: int):
+    rows = approx_check_rows(kmax, cfg.approx_grid)
+    return EXIT_OK, write_csv(["norm", "k", "analytic_lb", "bruteforce", "ratio"], rows,
+                              cfg.hash(), units="approximation error")
 
 
 def _schedule(cfg: ExperimentConfig, name: str, family: str):
@@ -281,8 +288,8 @@ def envelope_curves(cfg: ExperimentConfig):
     return results, env
 
 
-def cmd_envelope(cfg: ExperimentConfig, out=None):
-    """Returns (exit_code, csv_text).  Violation = (mean - 3 stderr) < envelope."""
+def cmd_envelope(cfg: ExperimentConfig):
+    """Exits 2 on a violation: (mean - 3 stderr) < envelope at some call."""
     results, env = envelope_curves(cfg)
     rows = []
     violated = False
@@ -294,7 +301,7 @@ def cmd_envelope(cfg: ExperimentConfig, out=None):
             if margin < 0:
                 violated = True
             rows.append([name, k, curve.worst_mean[k], float(env[k]), float(margin)])
-    csv = write_csv(out, ["optimizer", "k", "empirical_worst", "envelope", "margin"],
+    csv = write_csv(["optimizer", "k", "empirical_worst", "envelope", "margin"],
                     rows, cfg.hash(), units="suboptimality per oracle call")
     return (EXIT_VIOLATION if violated else EXIT_OK), csv
 
@@ -339,41 +346,41 @@ def log_slope_fit(errs: np.ndarray, lo: int, hi: int, floor_rel: float = 1e-13):
     return float(coef[0]), r2, hi
 
 
-def cmd_fig1(cfg: ExperimentConfig, out_csv=None, out_svg=None):
+def cmd_fig1(cfg: ExperimentConfig, svg=None):
+    """The CSV, and the same curves plotted to the file `svg` if given."""
     curves = fig1_curves(cfg)
     ks = np.arange(cfg.iterations + 1)
     rows = [[int(k)] + [float(curves[n][k]) for n in ("gd", "agd", "hb", "lbfgs")]
             for k in ks]
-    csv = write_csv(out_csv, ["k", "gd", "agd", "hb", "lbfgs"], rows, cfg.hash(),
-                    units="suboptimality per iteration")
-    if out_svg is not None:
-        write_svg(out_svg, {n: (ks, v) for n, v in curves.items()},
+    if svg is not None:
+        write_svg(svg, {n: (ks, v) for n, v in curves.items()},
                   title=f"chain quadratic d={cfg.d} kappa={cfg.kappa:g}")
-    return csv
+    return EXIT_OK, write_csv(["k", "gd", "agd", "hb", "lbfgs"], rows, cfg.hash(),
+                              units="suboptimality per iteration")
 
 
-def cmd_fig2(cfg: ExperimentConfig, out_csv=None, out_svg=None):
+def cmd_fig2(cfg: ExperimentConfig, svg=None):
+    """The CSV, and each iterate's error plotted to the file `svg` if given."""
     header, rows = trace.fig2_data(cfg.L, cfg.mu)
-    csv = write_csv(out_csv, header, rows, cfg.hash(), units="iterate value")
-    if out_svg is not None:
+    if svg is not None:
         etas = [r[0] for r in rows]
         curves = {name: (etas, [abs(r[i] - r[-1]) for r in rows])
                   for i, name in enumerate(header[1:-1], start=1)}
-        write_svg(out_svg, curves, title="iterate error vs target", logy=False)
-    return csv
+        write_svg(svg, curves, title="iterate error vs target", logy=False)
+    return EXIT_OK, write_csv(header, rows, cfg.hash(), units="iterate value")
 
 
-def cmd_run(cfg: ExperimentConfig, opt: str, out=None):
+def cmd_run(cfg: ExperimentConfig, opt: str):
     grid, factory = _grid_and_factory(cfg)
     sched = _schedule(cfg, opt, cfg.family)
     curve = optimizers.expected_error_curve(sched, factory, grid, cfg.iterations, cfg.seeds)
     rows = [[int(k), float(curve.worst_mean[k]), float(curve.stderr[k]),
              float(curve.worst_param[k])] for k in curve.k]
-    return write_csv(out, ["k", "err_mean", "err_stderr", "worst_eta"], rows,
-                     cfg.hash(), units="suboptimality per oracle call")
+    return EXIT_OK, write_csv(["k", "err_mean", "err_stderr", "worst_eta"], rows,
+                              cfg.hash(), units="suboptimality per oracle call")
 
 
-def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0, out=None):
+def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0):
     fam = cfg.family
     if fam not in trace.FAMILIES:
         raise ConfigError(f"no symbolic engine for family {fam!r}")
@@ -385,10 +392,10 @@ def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0, out=None):
         kwargs.update(n=1, d=1)
     vec = trace.trace_oblivious(sched, fam, k, seed=seed, **kwargs)
     lines = [polynomials.poly_to_json(e) for e in vec.entries]
-    return _write(out, "\n".join(lines) + "\n")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_sampling_compare(cfg: ExperimentConfig, out=None):
+def cmd_sampling_compare(cfg: ExperimentConfig):
     """With- vs without-replacement component sampling for SAG on the fsm
     family; reported, not asserted."""
     if cfg.family != "fsm":
@@ -400,8 +407,9 @@ def cmd_sampling_compare(cfg: ExperimentConfig, out=None):
     without = optimizers.batched_curves(sched, [inst], cfg.iterations, cfg.seeds,
                                         replacement=False).mean(axis=0)
     rows = [[k, float(with_rep[k]), float(without[k])] for k in range(cfg.iterations + 1)]
-    return write_csv(out, ["k", "with_replacement", "without_replacement"], rows,
-                     cfg.hash(), units="suboptimality per oracle call")
+    return EXIT_OK, write_csv(["k", "with_replacement", "without_replacement"], rows,
+                              cfg.hash(), units="suboptimality per oracle call")
+
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +423,9 @@ def verify_all(corrupt=None, quick=True):
     `corrupt` deliberately perturbs one formula so the suite's sensitivity
     can be exercised ("maxnorm_prefactor" inflates the uniform-norm bound)."""
     import time as _time
+
+    # the checks' lazy imports, loaded first so that no check's time includes one
+    import mpmath, scipy.integrate, scipy.optimize  # noqa: F401, E401
     checks = []
 
     def add(module, name, fn):
@@ -529,3 +540,9 @@ def verify_report(checks) -> str:
         p, f = counts[module]
         lines.append(f"{module}: {p} passed, {f} failed")
     return "\n".join(lines) + "\n"
+
+
+def cmd_verify_all(full: bool = False):
+    """The invariant suite's report; exits 1 if any check fails."""
+    checks = verify_all(quick=not full)
+    return (EXIT_OK if all(c[2] for c in checks) else 1), verify_report(checks)

@@ -15,11 +15,11 @@ only through engine operations, and every engine answers their queries
 through `oracles.answer`, so the same closures run on the scalar engines
 (`run`), the symbolic engines (`trace.trace_oblivious`) and the batched
 engines below (`batched_curves`), whose points hold one row per (grid
-point, seed) pair.  Each engine owns its index stream.  `run`,
-`batched_curves`, `audit_oblivious` and `trace_oblivious` share one loop,
-`_drive`, that measures the tracked point per oracle call (call 0 =
-initialization): suboptimality, the x-axis the lower-bound envelopes are
-stated in, or the tracer's degree budget.  `expected_error_curve` runs a
+point, seed) pair.  Each engine owns its index stream and counts its
+oracle calls.  `run`, `batched_curves`, `audit_oblivious` and
+`trace_oblivious` share one loop, `_drive`, that measures the tracked point
+per oracle call (call 0 = initialization): suboptimality, the x-axis the
+lower-bound envelopes are stated in, or the tracer's degree budget.  `expected_error_curve` runs a
 stochastic schedule once over its whole parameter grid and averages each
 grid point's curves over seeds.
 """
@@ -27,8 +27,8 @@ grid point's curves over seeds.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class RunRecord:
     seed: int
     errors: np.ndarray  # errors[c] = suboptimality after c oracle calls
     log: CallLog
-    wall_clock: float
 
     @property
     def calls(self) -> int:
@@ -288,17 +287,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _drive(schedule: Schedule, engine, ask, calls, measure, errors):
+def _drive(schedule: Schedule, engine, ask, measure, errors):
     """Step `schedule` on `engine` until `errors` holds one measure per
     oracle call, and return the final state.
 
-    `errors` has shape (iterations+1,) or (seeds, iterations+1); `calls()`
-    counts the oracle calls made so far and `measure` maps the tracked point
-    to one error (or one per seed).  The point is measured after every step
-    that called the oracle, including the one that passes `iterations`.
-    Multi-call steps (full gradients, snapshots) update the tracked point
-    only when the step completes; intermediate call indices repeat the
-    previous error.  A run whose steps stop calling the oracle (L-BFGS at an
+    `errors` has shape (iterations+1,) or (rows, iterations+1);
+    `engine.calls` counts the oracle calls made so far and `measure` maps
+    the tracked point to one error (or one per row).  The point is measured
+    after every step that called the oracle, including the one that passes
+    `iterations`.  Multi-call steps (full gradients, snapshots) update the
+    tracked point only when the step completes; intermediate call indices
+    repeat the previous error.  A run whose steps stop calling the oracle (L-BFGS at an
     exact stationary point) is flat-filled after 50 such steps.
     """
     cols = errors.T  # one row per call index
@@ -308,10 +307,10 @@ def _drive(schedule: Schedule, engine, ask, calls, measure, errors):
     cols[0] = err
     filled = k = stalls = 0
     while filled < iterations:
-        before = calls()
+        before = engine.calls
         schedule.step(state, k, ask, engine)
         k += 1
-        after = calls()
+        after = engine.calls
         if after == before:
             stalls += 1
             if stalls > 50:
@@ -329,24 +328,21 @@ def _drive(schedule: Schedule, engine, ask, calls, measure, errors):
     return state
 
 
-def run(schedule: Schedule, instance, iterations: int, seed: int = 0,
-        record_queries: bool = False) -> RunRecord:
-    """Execute `iterations` oracle calls and record suboptimality per call;
-    a multi-call step repeats the previous error until it completes."""
+def _check_run(schedule: Schedule, instance, iterations: int):
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     check_family(schedule, isinstance(instance, RlmInstance))
+
+
+def run(schedule: Schedule, instance, iterations: int, seed: int = 0) -> RunRecord:
+    """Execute `iterations` oracle calls and record suboptimality per call;
+    a multi-call step repeats the previous error until it completes."""
+    _check_run(schedule, instance, iterations)
     engine = _make_engine(instance, seed)
     log = CallLog()
-    log.record_queries = record_queries
-
-    def ask(point, query):
-        return answer(engine, point, query, log)
-
-    t0 = time.perf_counter()
     errors = np.empty(iterations + 1)
-    _drive(schedule, engine, ask, lambda: log.total, instance.suboptimality, errors)
-    return RunRecord(schedule.name, seed, errors, log, time.perf_counter() - t0)
+    _drive(schedule, engine, partial(answer, engine, log=log), instance.suboptimality, errors)
+    return RunRecord(schedule.name, seed, errors, log)
 
 
 def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0) -> bool:
@@ -355,22 +351,25 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
     An oblivious schedule emits the same queries whatever the answers are;
     a schedule whose parameters read the answers will diverge (or fail).
     """
-    real = run(schedule, instance, iterations, seed, record_queries=True)
-    engine = _make_engine(instance, seed)
-    log = CallLog()
-    log.record_queries = True
+    _check_run(schedule, instance, iterations)
 
-    def spoofed(point, query):
-        answer(engine, point, query, CallLog())  # keep shapes honest
-        log.note(query)
-        return engine.zero()
+    def queries(zeroed):
+        engine = _make_engine(instance, seed)
+        asked = []
 
+        def ask(point, query):
+            asked.append(query)
+            out = answer(engine, point, query)  # a zeroed run still checks shapes
+            return engine.zero() if zeroed else out
+
+        _drive(schedule, engine, ask, lambda w: 0.0, np.empty(iterations + 1))
+        return asked[:iterations]
+
+    real = queries(False)
     try:
-        _drive(schedule, engine, spoofed, lambda: log.total, lambda w: 0.0,
-               np.empty(iterations + 1))
+        return queries(True) == real
     except Exception:
         return False
-    return log.queries[:iterations] == real.log.queries[:iterations]
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +452,6 @@ class _Batched:
         out = W.copy()
         out[self.rows, iv] += t
         return out
-
-    def ask(self, point, query):
-        self.calls += 1
-        return answer(self, point, query)
 
 
 class BatchedEngine(_Batched):
@@ -550,7 +545,7 @@ def batched_curves(schedule: Schedule, instances, iterations: int, seeds: int,
     kind = BatchedDualEngine if dual else BatchedEngine
     engine = kind(instances, seeds, iterations, replacement)
     errors = np.empty((len(engine.rows), iterations + 1))
-    _drive(schedule, engine, engine.ask, lambda: engine.calls, engine.suboptimality, errors)
+    _drive(schedule, engine, partial(answer, engine), engine.suboptimality, errors)
     return errors
 
 

@@ -7,10 +7,12 @@ Three oracle families are supported:
 - dual coordinate oracles: a gradient step or exact minimization along one
   dual coordinate.
 
-`answer` is the only code that answers a query, and it notes each call in
-the `CallLog` once.  Its procedures are written against a tiny engine
-protocol (`comp_grad`, `diag`, `grad_entry`, `add_to_entry`), and the
-arithmetic behind the first three is written once per structure:
+`answer` is the only code that answers a query, and it counts each call
+once, in `engine.calls`, on every engine; the batched quadratic engine's
+`mean_grad`, which skips it, adds its n calls itself.  Its procedures are
+written against a tiny engine protocol (`comp_grad`, `diag`, `grad_entry`,
+`add_to_entry`), and the arithmetic behind the first three is written once
+per structure:
 `ComponentOracle` for finite sums of (Q, q) components, whose matrix
 structures live in `instances`, and `PairOracle` for the dual family's 2x2
 pair blocks.  The float engines here, the polynomial engines in `trace`
@@ -61,29 +63,17 @@ class DualExactCD:
 
 
 class CallLog:
-    """Per-variant counters and per-component touch counts.
-
-    The incremental-oracle property (each answer reads one component) holds
-    by construction; the log makes it auditable.
-    """
+    """Oracle calls counted per query kind."""
 
     def __init__(self):
         self.variant_counts = Counter()
-        self.component_touches = Counter()
-        self.queries = []
-        self.record_queries = False
 
     @property
     def total(self) -> int:
         return sum(self.variant_counts.values())
 
     def note(self, query):
-        # every query names the one component it reads (for the dual
-        # queries, the dual coordinate doubles as the component)
         self.variant_counts[type(query).__name__] += 1
-        self.component_touches[query.j] += 1
-        if self.record_queries:
-            self.queries.append(query)
 
 
 class SingleRunEngine:
@@ -91,13 +81,15 @@ class SingleRunEngine:
     point: a float vector here, a PolyVector in `trace`.
 
     `origin` is the zero point, of length `d`, and `n` the component
-    count; the run's driver sets `rng`, the stream `draw` reads.
+    count; the run's driver sets `rng`, the stream `draw` reads.  `calls`
+    counts the oracle calls `answer` has made on this engine.
     """
 
     rng = None
 
     def __init__(self, n, origin):
         self.n, self.d, self._origin = n, len(origin), origin
+        self.calls = 0
 
     def zero(self):
         return self._origin.copy()
@@ -231,6 +223,7 @@ def answer(engine, point, query, log: CallLog = None):
         out = _answer_dual(engine, point, query)
     else:
         raise TypeError(f"unknown query {query!r}")
+    engine.calls += 1
     if log is not None:
         log.note(query)
     return out

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .instances import Block2Diag, DenseSym
-from .oracles import CallLog, ComponentOracle, PairOracle, SingleRunEngine, answer
+from .oracles import ComponentOracle, PairOracle, SingleRunEngine, answer
 from .polynomials import MultiPoly, PolyVector, UniPoly
 from .optimizers import Schedule, _drive, make_rng
 
@@ -134,15 +134,14 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
         raise ValueError("k must be nonnegative")
     engine = _sym_engine(family, n=n, d=d, L=L, mu=mu, R=R, lam=lam)
     engine.rng = make_rng(seed)
-    log = CallLog()
 
     def ask(point, query):
-        out = answer(engine, point, query, log)
-        _check_budget(out, family, log.total)
+        out = answer(engine, point, query)
+        _check_budget(out, family, engine.calls)
         return out
 
-    state = _drive(schedule, engine, ask, lambda: log.total,
-                   lambda w: _check_budget(w, family, log.total), np.empty(k + 1, object))
+    state = _drive(schedule, engine, ask, lambda w: _check_budget(w, family, engine.calls),
+                   np.empty(k + 1, object))
     return PolyVector(state["w"], budget=k)
 
 

@@ -56,6 +56,22 @@ def test_load_config_rejects_bad_value(tmp_path):
         load_config("/nonexistent/path.ini")
 
 
+@pytest.mark.parametrize("key, value", [("outdir", "elsewhere"),
+                                        ("envelope_prefactor", "other")])
+def test_load_config_refuses_unread_keys_off_default(key, value, tmp_path, capsys):
+    # both keys are hashed but read by no command: the default keeps every
+    # config hash, and any other value is refused rather than ignored
+    p = tmp_path / "exp.ini"
+    p.write_text(f"[experiment]\n{key} = {getattr(ExperimentConfig, key)}\n")
+    assert load_config(str(p)).hash() == load_config(None).hash()
+    p.write_text(f"[experiment]\n{key} = {value}\n")
+    assert cli.main(["bounds", "--config", str(p)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: {key} ")
+
+
 def test_config_hash_tracks_content():
     assert small_cfg().hash() == small_cfg().hash()
     assert small_cfg().hash() != small_cfg(n=16).hash()
@@ -71,11 +87,8 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
-def test_write_csv_format(tmp_path):
-    out = tmp_path / "t.csv"
-    text = write_csv(str(out), ["k", "v"], [[0, 0.1], [1, np.float64(0.25)]],
-                     "abc123", units="u")
-    assert out.read_text() == text
+def test_write_csv_format():
+    text = write_csv(["k", "v"], [[0, 0.1], [1, np.float64(0.25)]], "abc123", units="u")
     lines = text.splitlines()
     assert lines[0] == "# config_hash=abc123 units=u"
     assert lines[1] == "k,v"
@@ -101,12 +114,13 @@ def test_envelope_holds_on_small_run():
 
 def test_fig1_csv(tmp_path):
     cfg = small_cfg(d=20, iterations=60)
-    csv = cmd_fig1(cfg, out_svg=str(tmp_path / "f.svg"))
+    code, csv = cmd_fig1(cfg, svg=str(tmp_path / "f.svg"))
+    assert code == EXIT_OK
     lines = csv.splitlines()
     assert lines[1] == "k,gd,agd,hb,lbfgs"
     assert len(lines) == 63
     assert (tmp_path / "f.svg").read_text().startswith("<svg")
-    assert cmd_fig1(cfg) == csv
+    assert cmd_fig1(cfg) == (EXIT_OK, csv)
 
 
 def test_log_slope_fit_exact_geometric():
@@ -127,7 +141,8 @@ def test_log_slope_fit_clips_at_floor():
 
 def test_cmd_trace_emits_parseable_json():
     cfg = small_cfg(family="fsm")
-    text = harness.cmd_trace(cfg, "sgd", 5, seed=1)
+    code, text = harness.cmd_trace(cfg, "sgd", 5, seed=1)
+    assert code == EXIT_OK
     polys = [poly_from_json(line) for line in text.strip().splitlines()]
     assert len(polys) == cfg.d
     assert all(p.total_degree <= 5 for p in polys)
@@ -137,7 +152,8 @@ def test_cmd_trace_emits_parseable_json():
 
 
 def test_cmd_sampling_compare_smoke():
-    csv = cmd_sampling_compare(small_cfg(iterations=30, seeds=4))
+    code, csv = cmd_sampling_compare(small_cfg(iterations=30, seeds=4))
+    assert code == EXIT_OK
     lines = csv.splitlines()
     assert lines[1] == "k,with_replacement,without_replacement"
     assert len(lines) == 33
@@ -170,6 +186,26 @@ def test_cli_bounds_and_exit_codes(capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.splitlines()[1] == "k,bound"
     assert cli.main(["bounds", "--config", "/nope.ini"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--kmax", "3"],
+    ["approx-check", "--kmax", "1", "--grid", "257"],
+    ["trace", "--opt", "gd", "--k", "3", "--family", "toy"],
+    ["fig2"],
+    ["fig1", "--d", "8", "--iters", "20"],
+    ["run", "--opt", "gd", "--iters", "10", "--eta-grid", "3"],
+    ["envelope", "--iters", "10", "--seeds", "3", "--eta-grid", "3"],
+    ["sampling-compare", "--iters", "10", "--seeds", "3"],
+])
+def test_cli_out_writes_exactly_what_it_prints(argv, capsys, tmp_path):
+    code = cli.main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "sub" / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+    assert printed
 
 
 def test_cli_envelope_and_trace(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from lblab.instances import (DenseSym, QuadraticInstance, fsm_instance,
                              rlm_instance, toy_instance)
 from lblab.optimizers import BatchedDualEngine, BatchedEngine
+from lblab.trace import _sym_engine
 from lblab.oracles import (CallLog, DualExactCD, DualGradStep,
                            DualNumericEngine, FirstOrder, NumericEngine,
                            SteepestCD, answer)
@@ -104,18 +105,30 @@ def test_call_log_accounting():
     assert log.total == 4
     assert log.variant_counts["FirstOrder"] == 3
     assert log.variant_counts["SteepestCD"] == 1
-    assert log.component_touches[0] == 2
-    assert log.component_touches[1] == 1
-    assert log.component_touches[3] == 1
+    assert eng.calls == 4
 
 
-def test_call_log_query_recording():
-    log = CallLog()
-    log.record_queries = True
-    eng = fsm_engine()
-    q = FirstOrder(a=1.0, b=0.0, j=2)
-    answer(eng, np.zeros(4), q, log)
-    assert log.queries == [q]
+def test_answer_counts_one_call_per_query_on_every_engine():
+    fsm_inst = fsm_instance(np.array([3.0, -2.0]), L, MU, R, 4)
+    dual = rlm_instance(np.array([0.4, -0.7]), 0.05, 4)
+    batched = BatchedEngine([fsm_inst], 3, 1)
+    sym = _sym_engine("fsm", n=2, d=4, L=L, mu=MU, R=R)
+    rows = np.array([0, 3, 1])
+    cases = [
+        (NumericEngine(fsm_inst), np.zeros(4), FirstOrder(1.0, 0.0, 1)),
+        (DualNumericEngine(dual), np.zeros(4), DualExactCD(2)),
+        (sym, sym.zero(), FirstOrder(-0.01, 1.0, 0)),
+        (batched, np.zeros((3, 4)), SteepestCD(rows, rows % 2)),
+        (BatchedDualEngine([dual], 3, 1), np.zeros((3, 4)), DualGradStep(0.5, rows)),
+    ]
+    for engine, point, query in cases:
+        assert engine.calls == 0
+        for calls in (1, 2):
+            answer(engine, point, query)
+            assert engine.calls == calls, type(engine).__name__
+    # the batched mean gradient is n first-order calls answered at once
+    batched.mean_grad(np.zeros((3, 4)), None)
+    assert batched.calls == 2 + fsm_inst.n
 
 
 def test_unknown_query_rejected():
