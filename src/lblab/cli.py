@@ -102,16 +102,16 @@ def main(argv=None) -> int:
         if getattr(args, "kmax", 0) < 0:
             raise ConfigError(f"kmax must be >= 0, got {args.kmax}")
         code, text = args.body(cfg, args)
-    except ValueError as e:  # ConfigError, and bad values the library rejects
+        out = getattr(args, "out", None)
+        if out is not None:
+            os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+            with open(out, "w") as fh:
+                fh.write(text)
+    except (ValueError, OSError) as e:  # ConfigError, rejected values, unwritable output
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
-    out = getattr(args, "out", None)
     if out is None:
         sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text)
     return code
 
 

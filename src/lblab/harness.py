@@ -44,17 +44,17 @@ class ExperimentConfig:
     grid_points: int = 33
     iterations: int = 200
     seeds: int = 100
-    outdir: str = "out"
     approx_grid: int = 4097
     lbfgs_memory: int = 100
-    envelope_prefactor: str = "appendix"  # bounds.fsm_envelope_prefactor
 
     @property
     def kappa(self) -> float:
         return self.L / self.mu
 
     def hash(self) -> str:
-        text = ",".join(f"{k}={v}" for k, v in sorted(asdict(self).items()))
+        # two retired fields stay in the text at their old values, so every hash holds
+        fields = {**asdict(self), "outdir": "out", "envelope_prefactor": "appendix"}
+        text = ",".join(f"{k}={v}" for k, v in sorted(fields.items()))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -82,10 +82,6 @@ def load_config(path=None, kappa=None, **overrides) -> ExperimentConfig:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {cfg.iterations}")
-    for key in ("outdir", "envelope_prefactor"):  # hashed, but read by no command
-        default = getattr(ExperimentConfig, key)
-        if getattr(cfg, key) != default:
-            raise ConfigError(f"{key} is read by no command; leave it at {default!r}")
     return cfg
 
 

@@ -297,27 +297,23 @@ def _drive(schedule: Schedule, engine, ask, measure, errors):
     after every step that called the oracle, including the one that passes
     `iterations`.  Multi-call steps (full gradients, snapshots) update the
     tracked point only when the step completes; intermediate call indices
-    repeat the previous error.  A run whose steps stop calling the oracle (L-BFGS at an
-    exact stationary point) is flat-filled after 50 such steps.
+    repeat the previous error.  Every step of every schedule calls the
+    oracle (L-BFGS's stalled and probe steps too), so a step that makes no
+    call is a schedule error and raises RuntimeError.
     """
     cols = errors.T  # one row per call index
     iterations = len(cols) - 1
     state = schedule.init(engine)
     err = measure(state["w"])
     cols[0] = err
-    filled = k = stalls = 0
+    filled = k = 0
     while filled < iterations:
         before = engine.calls
         schedule.step(state, k, ask, engine)
-        k += 1
         after = engine.calls
         if after == before:
-            stalls += 1
-            if stalls > 50:
-                cols[filled + 1:] = err
-                filled = iterations
-            continue
-        stalls = 0
+            raise RuntimeError(f"{schedule.name} step {k} made no oracle call")
+        k += 1
         new_err = measure(state["w"])
         hi = min(after, iterations)
         cols[filled + 1:hi] = err  # point unchanged until the step completed

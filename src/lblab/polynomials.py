@@ -1,12 +1,12 @@
 """Exact rational polynomial arithmetic.
 
-Univariate polynomials are dense with `fractions.Fraction` coefficients.
-Multivariate ones are sparse exponent maps holding integer numerators over one
-shared denominator, which keeps their arithmetic exact under any rational
-divisor while costing one gcd per result rather than one per term.  Exact
-coefficients keep the degree bookkeeping exact: a floating-point
-representation would manufacture tiny spurious terms and break the degree
-assertions made by the symbolic tracer.
+`MultiPoly` is the one kernel: a sparse exponent map holding integer
+numerators over one shared denominator, which keeps its arithmetic exact
+under any rational divisor while costing one gcd per result rather than one
+per term.  `UniPoly` is its one-variable case, adding a dense coefficient
+view and Horner evaluation at a scalar.  Exact coefficients keep the degree
+bookkeeping exact: a floating-point representation would manufacture tiny
+spurious terms and break the degree assertions made by the symbolic tracer.
 
 `PolyVector` is a 1-d numpy object array of MultiPoly entries, so numpy's
 elementwise arithmetic and the matrix structures of `instances` run on
@@ -38,84 +38,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, (int, float)):
         return Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
-
-
-class UniPoly:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    coeffs[i] is the coefficient of eta**i; trailing zeros are normalized
-    away at construction.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def __call__(self, x):
-        # Horner; exact when x is a Fraction or int.  At a float or float64
-        # point each step would add float(c) to float(acc) through Fraction's
-        # reverse operators, so both are converted once up front instead.
-        coeffs = self.coeffs
-        if isinstance(x, float):
-            x, coeffs = float(x), [float(c) for c in coeffs]
-        acc = x * 0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UniPoly(a)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, r) -> "UniPoly":
-        r = _frac(r)
-        return UniPoly([c * r for c in self.coeffs])
-
-    def to_multi(self) -> "MultiPoly":
-        return MultiPoly(1, {(i,): c for i, c in enumerate(self.coeffs) if c})
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
 
 
 class _Terms(Mapping):
@@ -241,7 +163,7 @@ class MultiPoly:
             out[e] = get(e, 0) + n * mb
         if 0 in out.values():
             out = {e: n for e, n in out.items() if n}
-        return MultiPoly._new(self.nvars, out, da * ma)
+        return self._new(self.nvars, out, da * ma)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -250,7 +172,7 @@ class MultiPoly:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return MultiPoly._new(self.nvars, {e: -n for e, n in self._nums.items()}, self._den)
+        return self._new(self.nvars, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
@@ -264,7 +186,7 @@ class MultiPoly:
                 out[e] = get(e, 0) + na * nb
         if 0 in out.values():
             out = {e: n for e, n in out.items() if n}
-        return MultiPoly._new(self.nvars, out, self._den * other._den)
+        return self._new(self.nvars, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -272,9 +194,9 @@ class MultiPoly:
         r = _frac(r)
         num = r.numerator
         if not num:
-            return MultiPoly._new(self.nvars, {}, 1)
-        return MultiPoly._new(self.nvars, {e: n * num for e, n in self._nums.items()},
-                              self._den * r.denominator)
+            return self._new(self.nvars, {}, 1)
+        return self._new(self.nvars, {e: n * num for e, n in self._nums.items()},
+                         self._den * r.denominator)
 
     def __truediv__(self, r):
         # exact: scale by the rational reciprocal
@@ -303,18 +225,57 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self.terms})"
 
 
+class UniPoly(MultiPoly):
+    """Univariate polynomial in eta: a one-variable MultiPoly.
+
+    coeffs[i] is the coefficient of eta**i, with no trailing zeros.  The
+    arithmetic and equality are MultiPoly's; a result keeps the class of its
+    left operand.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        super().__init__(1, {(i,): c for i, c in enumerate(coeffs)})
+
+    degree = MultiPoly.total_degree
+
+    def _dense(self) -> list:
+        """Numerators of eta**0 .. eta**degree over the shared denominator."""
+        get = self._nums.get
+        return [get((i,), 0) for i in range(self.degree + 1)] if self._nums else []
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(n, self._den) for n in self._dense())
+
+    def __call__(self, x):
+        # Horner; exact when x is a Fraction or int.  At a float or float64
+        # point each coefficient is n / den, float(c) correctly rounded, so
+        # the loop runs in floats.
+        if isinstance(x, float):
+            x, coeffs = float(x), [n / self._den for n in self._dense()]
+        else:
+            coeffs = self.coeffs
+        acc = x * 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __repr__(self):
+        return f"UniPoly({list(self.coeffs)})"
+
+
 class PolyVector(np.ndarray):
     """A 1-d object array of MultiPoly entries sharing an indeterminate count.
 
     Numpy's elementwise arithmetic applies the MultiPoly operators, so the
     matrix structures in `instances` and the answer procedures in `oracles`
-    run on it unchanged, with exact coefficients.  `budget` is the degree
-    budget the owning trace is accountable to; the checking policy (total
-    degree vs per-variable degree) lives with the tracer, this type only
-    carries the number and the measurement helpers.
+    run on it unchanged, with exact coefficients.  The degree measurements
+    are here; the budget they are checked against lives with the tracer.
     """
 
-    def __new__(cls, entries, budget=0):
+    def __new__(cls, entries):
         entries = list(entries)
         if entries:
             nv = entries[0].nvars
@@ -322,15 +283,11 @@ class PolyVector(np.ndarray):
                 raise ValueError("mixed indeterminate counts")
         vec = np.empty(len(entries), dtype=object).view(cls)
         vec[:] = entries
-        vec.budget = budget
         return vec
 
-    def __array_finalize__(self, obj):
-        self.budget = getattr(obj, "budget", 0)
-
     @classmethod
-    def zeros(cls, d: int, nvars: int, budget=0) -> "PolyVector":
-        return cls([MultiPoly(nvars, {})] * d, budget)
+    def zeros(cls, d: int, nvars: int) -> "PolyVector":
+        return cls([MultiPoly(nvars, {})] * d)
 
     @property
     def entries(self) -> list:
@@ -420,8 +377,6 @@ def sgn_chebyshev_moment(j: int, k: int):
 
 
 def poly_to_json(p) -> str:
-    if isinstance(p, UniPoly):
-        p = p.to_multi()
     # each coefficient in lowest terms, as a Fraction prints
     nums, den = p._nums, p._den
     terms = []

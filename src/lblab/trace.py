@@ -125,8 +125,7 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
 
     The degree budget is asserted on every answer and, as the measure of the
     per-call loop that `run` uses, on the tracked point after every step
-    that called the oracle.  Returns the tracked point as a PolyVector with
-    budget k.
+    that called the oracle.  Returns the tracked point as a PolyVector.
     """
     if not schedule.oblivious:
         raise ValueError(f"{schedule.name} is not declared oblivious; refusing to trace")
@@ -142,7 +141,7 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
 
     state = _drive(schedule, engine, ask, lambda w: _check_budget(w, family, engine.calls),
                    np.empty(k + 1, object))
-    return PolyVector(state["w"], budget=k)
+    return PolyVector(state["w"])
 
 
 def trace_gd_toy(k: int, L) -> UniPoly:

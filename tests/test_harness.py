@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from lblab import bestapprox, cli, harness
-from lblab.harness import (EXIT_CONFIG, EXIT_OK, ConfigError, ExperimentConfig,
-                           cmd_envelope, cmd_fig1, cmd_sampling_compare,
-                           cmd_trace, load_config, log_slope_fit, verify_all,
+from lblab.harness import (EXIT_CONFIG, EXIT_OK, ConfigError, cmd_envelope,
+                           cmd_fig1, cmd_sampling_compare, cmd_trace,
+                           load_config, log_slope_fit, verify_all,
                            verify_report, worker_count, write_csv, write_svg)
 from lblab.polynomials import poly_from_json
 
@@ -56,20 +56,17 @@ def test_load_config_rejects_bad_value(tmp_path):
         load_config("/nonexistent/path.ini")
 
 
-@pytest.mark.parametrize("key, value", [("outdir", "elsewhere"),
-                                        ("envelope_prefactor", "other")])
-def test_load_config_refuses_unread_keys_off_default(key, value, tmp_path, capsys):
-    # both keys are hashed but read by no command: the default keeps every
-    # config hash, and any other value is refused rather than ignored
+@pytest.mark.parametrize("key", ["outdir", "envelope_prefactor"])
+def test_load_config_rejects_retired_keys(key, tmp_path, capsys):
+    # both keys were hashed but read by no command; they are gone, and the
+    # config hash still carries their old defaults
     p = tmp_path / "exp.ini"
-    p.write_text(f"[experiment]\n{key} = {getattr(ExperimentConfig, key)}\n")
-    assert load_config(str(p)).hash() == load_config(None).hash()
-    p.write_text(f"[experiment]\n{key} = {value}\n")
+    p.write_text(f"[experiment]\n{key} = x\n")
     assert cli.main(["bounds", "--config", str(p)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"config error: {key} ")
+    assert captured.err.startswith(f"config error: unknown config key '{key}'")
 
 
 def test_config_hash_tracks_content():
@@ -246,6 +243,17 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
 ])
 def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
     assert cli.main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("flag, argv", [("--out", ["bounds", "--kmax", "2"]),
+                                        ("--svg", ["fig2"])])
+def test_cli_unwritable_output_exits_3_with_one_line(flag, argv, capsys, tmp_path):
+    # a directory cannot be opened for writing
+    assert cli.main(argv + [flag, str(tmp_path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1

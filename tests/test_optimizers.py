@@ -111,6 +111,22 @@ def test_audit_rejects_adaptive_schedule():
     assert not audit_oblivious(adaptive, fsm(), 20)
 
 
+def test_step_without_oracle_call_raises():
+    # every step of every schedule calls the oracle, so one that does not
+    # is a schedule error
+    def init(engine):
+        return {"w": engine.zero()}
+
+    def stp(state, k, ask, engine):
+        if k < 3:
+            state["w"] = state["w"] - ask(state["w"], FirstOrder(1.0, 0.0, 0)) * 1e-3
+
+    idle = Schedule("idle", True, init, stp, stochastic=False)
+    with pytest.raises(RuntimeError, match="idle step 3 made no oracle call"):
+        run(idle, fsm(), 10)
+    assert run(idle, fsm(), 3).calls == 3
+
+
 def test_lbfgs_is_declared_non_oblivious():
     sched = make_optimizer("lbfgs", L=L, mu=MU, n=1)
     assert not sched.oblivious

@@ -58,6 +58,33 @@ def test_eval_gd_iterate_point():
     assert p(Fraction(1)) == 1
 
 
+def test_unipoly_is_a_one_variable_multipoly():
+    u = UniPoly([Fraction(1, 3), 0, Fraction(-5, 6)])
+    assert u == MultiPoly(1, {(0,): Fraction(1, 3), (2,): Fraction(-5, 6)})
+    assert u.coeffs == (Fraction(1, 3), Fraction(0), Fraction(-5, 6))
+    assert u.degree == 2
+    # MultiPoly's arithmetic keeps the left operand's class
+    eta = UniPoly([0, 1])
+    for q in (u + eta, u - 1, -u, u * eta, 3 * u, u.scale(Fraction(2, 3)), u / 7, u - u):
+        assert type(q) is UniPoly
+    assert u * eta == UniPoly([0, Fraction(1, 3), 0, Fraction(-5, 6)])
+    assert (u - u).coeffs == ()
+    # Horner at a float takes each coefficient as float(c)
+    for x in (0.3, np.float64(-1.7), 2.0):
+        want = 0.0
+        for c in reversed(u.coeffs):
+            want = want * float(x) + float(c)
+        assert u(x) == want and type(u(x)) is float
+    assert u(Fraction(2)) == Fraction(1, 3) - Fraction(10, 3)
+
+
+def test_unipoly_zero_evaluates_to_zero():
+    for zero in (UniPoly(), UniPoly([0, 0]), UniPoly([1]) - 1):
+        assert zero.degree == NEG_INF
+        assert zero(1.5) == 0.0 and type(zero(1.5)) is float
+        assert zero(Fraction(3, 2)) == 0 and type(zero(Fraction(3, 2))) is Fraction
+
+
 def test_indeterminate_count_mismatch():
     with pytest.raises(ValueError):
         MultiPoly(1, {(1,): 1}) + MultiPoly(2, {(1, 0): 1})
@@ -125,12 +152,12 @@ def test_serialization_roundtrip():
             c = p.terms[tuple(t["exp"])]
             assert (t["num"], t["den"]) == (str(c.numerator), str(c.denominator))
     u = UniPoly([1, Fraction(1, 2)])
-    assert poly_from_json(poly_to_json(u)) == u.to_multi()
+    assert poly_from_json(poly_to_json(u)) == u
 
 
 def test_polyvector_degree_measures():
     x, y = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
-    v = PolyVector([x * x * y, y, MultiPoly(2, {})], budget=5)
+    v = PolyVector([x * x * y, y, MultiPoly(2, {})])
     assert v.max_total_degree() == 3
     # per-variable: max degree in x is 2, in y is 1
     assert v.variable_degree_sum() == 3

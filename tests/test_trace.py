@@ -33,7 +33,7 @@ def test_traced_gd_matches_closed_form():
     sched = make_optimizer("gd", L=L, mu=1.0)
     for k in range(7):
         vec = trace_oblivious(sched, "toy", k, L=L, mu=1.0)
-        ref = trace_gd_toy(k, L).to_multi()
+        ref = trace_gd_toy(k, L)
         assert vec[0] == ref
 
 
