@@ -18,7 +18,7 @@ for k in range(5):
     print(f"  k={k}: {terms or '0'}")
 
 print("\nSGD on the 8-component family, 10 oracle calls, 3 seeds:")
-sched = make_optimizer("sgd", L=100.0, mu=1.0, n=8)
+sched = make_optimizer("sgd", L=100.0, mu=1.0)
 for seed in range(3):
     vec = trace_oblivious(sched, "fsm", 10, seed=seed, n=8, d=4,
                           L=100.0, mu=1.0, R=1.0)

@@ -92,8 +92,6 @@ def _apply(cfg, key, val, where=""):
     try:
         if isinstance(cur, tuple):
             val = tuple(v.strip() for v in str(val).split(",")) if isinstance(val, str) else tuple(val)
-        elif isinstance(cur, bool):
-            val = str(val).lower() in ("1", "true", "yes")
         elif isinstance(cur, int):
             val = int(val)
         elif isinstance(cur, float):
@@ -251,7 +249,7 @@ def cmd_approx_check(cfg: ExperimentConfig, kmax: int):
 
 def _schedule(cfg: ExperimentConfig, name: str, family: str):
     """The named schedule, checked against the oracle family it will run on."""
-    sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, n=cfg.n)
+    sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu)
     optimizers.check_family(sched, family == "rlm")
     return sched
 
@@ -307,8 +305,7 @@ def fig1_curves(cfg: ExperimentConfig):
     names = ("gd", "agd", "hb", "lbfgs")
     out = {}
     for name in names:
-        sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, n=1,
-                                          memory=cfg.lbfgs_memory)
+        sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, memory=cfg.lbfgs_memory)
         calls = cfg.iterations if name != "lbfgs" else 2 * cfg.iterations + 1
         rec = optimizers.run(sched, inst, calls, seed=0)
         if name == "lbfgs":
@@ -377,16 +374,9 @@ def cmd_run(cfg: ExperimentConfig, opt: str):
 
 
 def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0):
-    fam = cfg.family
-    if fam not in trace.FAMILIES:
-        raise ConfigError(f"no symbolic engine for family {fam!r}")
-    sched = _schedule(cfg, opt, fam)
-    if not sched.oblivious:
-        raise ConfigError(f"{opt} is not oblivious, so it has no trace")
-    kwargs = dict(n=cfg.n, d=cfg.d, L=cfg.L, mu=cfg.mu, R=cfg.R, lam=cfg.lam)
-    if fam == "toy":
-        kwargs.update(n=1, d=1)
-    vec = trace.trace_oblivious(sched, fam, k, seed=seed, **kwargs)
+    sched = _schedule(cfg, opt, cfg.family)
+    vec = trace.trace_oblivious(sched, cfg.family, k, seed=seed, n=cfg.n, d=cfg.d,
+                                L=cfg.L, mu=cfg.mu, R=cfg.R, lam=cfg.lam)
     lines = [polynomials.poly_to_json(e) for e in vec.entries]
     return EXIT_OK, "\n".join(lines) + "\n"
 
@@ -421,7 +411,7 @@ def verify_all(corrupt=None, quick=True):
     import time as _time
 
     # the checks' lazy imports, loaded first so that no check's time includes one
-    import mpmath, scipy.integrate, scipy.optimize  # noqa: F401, E401
+    import scipy.integrate, scipy.optimize  # noqa: F401, E401
     checks = []
 
     def add(module, name, fn):
@@ -497,7 +487,7 @@ def verify_all(corrupt=None, quick=True):
 
     def degree_lemma():
         for name in ("gd", "sgd", "cd_cyclic"):
-            sched = optimizers.make_optimizer(name, L=100.0, mu=1.0, n=3)
+            sched = optimizers.make_optimizer(name, L=100.0, mu=1.0)
             trace.trace_oblivious(sched, "fsm", 8, seed=0, n=3, d=4,
                                   L=100.0, mu=1.0, R=1.0)
 

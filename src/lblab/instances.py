@@ -71,7 +71,7 @@ class DenseSym:
         return self.Q
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
-        return w @ self.Q.T if w.ndim > 1 else self.Q @ w
+        return self.Q @ w
 
     def diag(self, i: int) -> float:
         return self.Q[i, i]

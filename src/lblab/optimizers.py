@@ -66,14 +66,14 @@ class RunRecord:
         return len(self.errors) - 1
 
 
-def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
+def make_optimizer(name: str, L=None, mu=None, step=None, epoch=None,
                    memory=100) -> Schedule:
     """Build a named Schedule.
 
     Steps default to the standard constants: gd/agd 1/L, hb Polyak's
     4/(sqrt L + sqrt mu)^2, sag 1/(16L), saga 1/(3L), svrg 1/(10L) with
-    epoch length 2n, sgd 1/(2L).  Component and coordinate counts are read
-    from the engine the schedule runs on.
+    epoch length 2n, sgd 1/(2L), sdca_primal min(1/(4L), 1/(mu n)).  The
+    counts n and d are read from the engine the schedule runs on.
     """
     if name not in OPTIMIZER_NAMES:
         raise ValueError(f"unknown optimizer {name!r}")
@@ -189,10 +189,10 @@ def make_optimizer(name: str, L=None, mu=None, n=1, step=None, epoch=None,
         # dual-free SDCA: pseudo-dual vectors a_j with w = sum a_j/(mu n)
         if mu is None or L is None:
             raise ValueError("sdca_primal requires L and mu")
-        eta = step if step is not None else min(1.0 / (4 * L), 1.0 / (mu * max(n, 1)))
         def init(engine):
             return {"w": engine.zero(), "table": engine.table()}
         def stp(state, k, ask, engine):
+            eta = step if step is not None else min(1.0 / (4 * L), 1.0 / (mu * engine.n))
             (j,) = engine.draw("n")
             g = ask(state["w"], FirstOrder(1.0, 0.0, j))
             old = engine.gather(state["table"], j)

@@ -204,7 +204,7 @@ def fig2_data(L: float, mu: float, k_max: int = 4, grid: int = 1025):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     gd_polys = [trace_gd_toy(k, L) for k in range(1, k_max + 1)]
-    agd = make_optimizer("agd", L=L, mu=mu, n=1)
+    agd = make_optimizer("agd", L=L, mu=mu)
     agd_polys = []
     for k in range(1, k_max + 1):
         vec = trace_oblivious(agd, "toy", k, L=L, mu=mu)

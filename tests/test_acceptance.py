@@ -115,16 +115,16 @@ def test_dual_coordinate_ascent_respects_rlm_envelope():
 def test_degree_budgets_hold_exactly():
     L, mu, R = 100.0, 1.0, 1.0
     for name in ("gd", "sgd", "sag", "svrg", "cd_cyclic"):
-        sched = make_optimizer(name, L=L, mu=mu, n=8)
+        sched = make_optimizer(name, L=L, mu=mu)
         for seed in range(5):
             vec = trace_oblivious(sched, "fsm", 10, seed=seed, n=8, d=4,
                                   L=L, mu=mu, R=R)
             assert vec.max_total_degree() <= 10
     for name in ("gd", "agd", "hb"):
-        sched = make_optimizer(name, L=1.0, mu=0.01, n=1)
+        sched = make_optimizer(name, L=1.0, mu=0.01)
         vec = trace_oblivious(sched, "smooth", 8, d=3, L=1.0, R=1.0)
         assert all(e.constant_term() == 0 for e in vec.entries)
-    sched = make_optimizer("sdca", n=6)
+    sched = make_optimizer("sdca")
     vec = trace_oblivious(sched, "rlm", 10, n=6, lam=0.05)
     assert vec.variable_degree_sum() <= 10
 

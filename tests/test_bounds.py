@@ -149,9 +149,9 @@ def test_smooth_delta_form_exposed():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only identity_checks integrates, only bestapprox's LP solvers call
-    # scipy.optimize and only the sign-pattern moments use mpmath, so
-    # importing the CLI must pay for none of them
+    # only identity_checks integrates and only bestapprox's LP solvers call
+    # scipy.optimize, so importing the CLI must pay for neither; lblab itself
+    # never imports mpmath, which only the tests use
     src = os.path.dirname(os.path.dirname(lblab.__file__))
     code = ("import sys, lblab.cli; print([m in sys.modules "
             "for m in ('scipy.integrate', 'scipy.optimize', 'mpmath')])")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -247,6 +248,59 @@ def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("config error: ")
+
+
+SETTING_FLAGS = {"--family": "fsm", "--n": "8", "--d": "4", "--kappa": "50", "--iters": "10",
+                 "--seeds": "3", "--eta-grid": "3"}
+# the setting flags each subcommand's body reads; it accepts no others
+ACCEPTED = {
+    "bounds": {"--n", "--kappa"},
+    "approx-check": set(),
+    "trace": {"--family", "--n", "--d", "--kappa"},
+    "fig2": {"--kappa"},
+    "fig1": {"--d", "--kappa", "--iters"},
+    "run": set(SETTING_FLAGS),
+    "envelope": set(SETTING_FLAGS),
+    "sampling-compare": {"--n", "--d", "--kappa", "--iters", "--seeds"},
+}
+REMOVED = [(sub, flag) for sub, flags in ACCEPTED.items()
+           for flag in SETTING_FLAGS if flag not in flags]
+
+
+def test_cli_subcommands_accept_only_the_flags_they_read():
+    common = {"--config", "--out"} | set(SETTING_FLAGS)
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    pairs = 0
+    for name, parser in sub.choices.items():
+        flags = {f for a in parser._actions for f in a.option_strings} & common
+        if name == "verify-all":
+            assert flags == set()
+            continue
+        assert flags == {"--config", "--out"} | ACCEPTED[name], name
+        pairs += len(flags)
+    assert set(sub.choices) == set(ACCEPTED) | {"verify-all"}
+    assert pairs == 45 and len(REMOVED) == 27
+
+
+@pytest.mark.parametrize("sub, flag", REMOVED)
+def test_cli_unread_flag_exits_3_with_one_line(sub, flag, capsys):
+    opt = ["--opt", "gd"] if sub == "trace" else []  # trace's one required flag
+    assert cli.main([sub] + opt + [flag, SETTING_FLAGS[flag]]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: unrecognized arguments: " + flag)
+
+
+def test_sampling_compare_refuses_a_config_family_other_than_fsm(capsys, tmp_path):
+    ini = tmp_path / "rlm.ini"
+    ini.write_text("[run]\nfamily = rlm\n")
+    assert cli.main(["sampling-compare", "--config", str(ini)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: sampling-compare runs on the fsm family only, "
+                            "got 'rlm'\n")
 
 
 @pytest.mark.parametrize("flag, argv", [("--out", ["bounds", "--kmax", "2"]),

@@ -37,7 +37,7 @@ def test_gd_toy_contraction_guarantee():
 def test_deterministic_schedules_ignore_seed():
     inst = fsm()
     for name in ("gd", "agd", "hb", "cd_cyclic"):
-        sched = make_optimizer(name, L=L, mu=MU, n=8)
+        sched = make_optimizer(name, L=L, mu=MU)
         assert not sched.stochastic
         a = run(sched, inst, 40, seed=0).errors
         b = run(sched, inst, 40, seed=123).errors
@@ -47,7 +47,7 @@ def test_deterministic_schedules_ignore_seed():
 def test_stochastic_runs_are_reproducible():
     inst = fsm()
     for name in ("sgd", "sag", "saga", "svrg", "sdca_primal", "cd_random"):
-        sched = make_optimizer(name, L=L, mu=MU, n=8)
+        sched = make_optimizer(name, L=L, mu=MU)
         a = run(sched, inst, 60, seed=7).errors
         b = run(sched, inst, 60, seed=7).errors
         assert np.array_equal(a, b)
@@ -55,8 +55,21 @@ def test_stochastic_runs_are_reproducible():
         assert not np.array_equal(a, c)
 
 
+def test_sdca_primal_default_step_reads_n_from_the_engine():
+    # min(1/(4L), 1/(mu n)) at L = 2, mu = 1 is 1/16 on 16 components
+    etas = np.linspace(-0.5, 0.5, 16)
+    inst = fsm_instance(etas, 2.0, 1.0, R, 4)
+    default = run(make_optimizer("sdca_primal", L=2.0, mu=1.0), inst, 40, seed=3).errors
+    stepped = run(make_optimizer("sdca_primal", L=2.0, mu=1.0, step=1 / 16), inst, 40,
+                  seed=3).errors
+    assert np.array_equal(default, stepped)
+    eighth = run(make_optimizer("sdca_primal", L=2.0, mu=1.0, step=1 / 8), inst, 40,
+                 seed=3).errors
+    assert not np.array_equal(default, eighth)
+
+
 def test_zero_iterations_record():
-    rec = run(make_optimizer("gd", L=L, mu=MU, n=8), fsm(), 0)
+    rec = run(make_optimizer("gd", L=L, mu=MU), fsm(), 0)
     assert len(rec.errors) == 1
     assert rec.calls == 0
 
@@ -65,7 +78,7 @@ def test_errors_indexed_by_oracle_calls():
     # gd on n components spends n calls per step: the error stays flat
     # within a step and drops only at multiples of n
     inst = fsm()
-    rec = run(make_optimizer("gd", L=L, mu=MU, n=8), inst, 24)
+    rec = run(make_optimizer("gd", L=L, mu=MU), inst, 24)
     errs = rec.errors
     for c in range(25):
         if c % 8 != 0:
@@ -77,9 +90,9 @@ def test_errors_indexed_by_oracle_calls():
 def test_incompatible_oracle_family_rejected():
     dual = rlm_instance(np.zeros(4), 0.05, 8)
     with pytest.raises(ValueError):
-        run(make_optimizer("gd", L=L, mu=MU, n=8), dual, 10)
+        run(make_optimizer("gd", L=L, mu=MU), dual, 10)
     with pytest.raises(ValueError):
-        run(make_optimizer("sdca", n=8), fsm(), 10)
+        run(make_optimizer("sdca"), fsm(), 10)
 
 
 def test_audit_accepts_oblivious_schedules():
@@ -88,7 +101,7 @@ def test_audit_accepts_oblivious_schedules():
     for name in OPTIMIZER_NAMES:
         if name == "lbfgs":
             continue
-        sched = make_optimizer(name, L=L, mu=MU, n=8)
+        sched = make_optimizer(name, L=L, mu=MU)
         target = dual if name == "sdca" else inst
         assert audit_oblivious(sched, target, 40), name
 
@@ -128,7 +141,7 @@ def test_step_without_oracle_call_raises():
 
 
 def test_lbfgs_is_declared_non_oblivious():
-    sched = make_optimizer("lbfgs", L=L, mu=MU, n=1)
+    sched = make_optimizer("lbfgs", L=L, mu=MU)
     assert not sched.oblivious
 
 
@@ -141,7 +154,7 @@ def test_batched_curves_match_scalar_runs():
         for name in ("sgd", "sag", "saga", "svrg", "sdca_primal", "cd_random", "sdca"):
             variants = [{}, {"step": 1 / 500}] + ([{"epoch": 5}] if name == "svrg" else [])
             for kw in variants:
-                sched = make_optimizer(name, L=L, mu=MU, n=n, **kw)
+                sched = make_optimizer(name, L=L, mu=MU, **kw)
                 target = dual if name == "sdca" else inst
                 curves = batched_curves(sched, [target], 50, 4)
                 for s in range(4):
@@ -179,7 +192,7 @@ def test_coordinate_descent_reads_dimension_from_engine():
 
 def test_sdca_decays_in_expectation():
     dual = rlm_instance(np.full(50, -math.pi / 2), 0.01, 100)
-    curves = batched_curves(make_optimizer("sdca", n=100), [dual], 400, 30)
+    curves = batched_curves(make_optimizer("sdca"), [dual], 400, 30)
     mean = curves.mean(axis=0)
     assert mean[-1] < 0.5 * mean[0]
 
@@ -194,8 +207,8 @@ def test_philox_streams_differ_by_seed():
 def test_lbfgs_beats_momentum_on_chain():
     d = 200
     inst = nesterov_chain(d, L, MU)
-    lb = run(make_optimizer("lbfgs", L=L, mu=MU, n=1, memory=100), inst, 300)
-    agd = run(make_optimizer("agd", L=L, mu=MU, n=1), inst, 300)
+    lb = run(make_optimizer("lbfgs", L=L, mu=MU, memory=100), inst, 300)
+    agd = run(make_optimizer("agd", L=L, mu=MU), inst, 300)
     assert lb.errors.min() <= 1e-10
     first_lb = int(np.argmax(lb.errors <= 1e-10))
     first_agd = int(np.argmax(agd.errors <= 1e-10)) if np.any(agd.errors <= 1e-10) else 301
@@ -246,7 +259,7 @@ def _reference_lbfgs(memory):
 @pytest.mark.parametrize("d", [2, 10, 50, 200])
 def test_lbfgs_equals_plain_two_loop(d, memory):
     inst = nesterov_chain(d, L, MU)
-    fast = make_optimizer("lbfgs", L=L, mu=MU, n=1, memory=memory)
+    fast = make_optimizer("lbfgs", L=L, mu=MU, memory=memory)
     stalled_at = []
     def watched(state, k, ask, engine):
         fast.step(state, k, ask, engine)
@@ -265,7 +278,7 @@ def test_expected_error_curve_shapes():
     grid = np.linspace(-(L - MU) / 2, (L - MU) / 2, 5)
     factory = lambda e: fsm_instance(np.full(8, e), L, MU, R, 4)
     for name in ("sgd", "svrg", "cd_random"):
-        sched = make_optimizer(name, L=L, mu=MU, n=8, epoch=5)
+        sched = make_optimizer(name, L=L, mu=MU, epoch=5)
         curve = expected_error_curve(sched, factory, grid, 30, seeds=10)
         assert curve.worst_mean.shape == (31,)
         assert np.all(curve.lower_confidence() <= curve.worst_mean)
@@ -278,7 +291,7 @@ def test_expected_error_curve_shapes():
         assert np.array_equal(curve.worst_mean, means[worst, cols])
         assert np.array_equal(curve.stderr, errs[worst, cols])
         assert np.array_equal(curve.worst_param, grid[worst])
-    det = make_optimizer("gd", L=L, mu=MU, n=8)
+    det = make_optimizer("gd", L=L, mu=MU)
     dcurve = expected_error_curve(det, factory, grid, 30, seeds=10)
     assert np.all(dcurve.stderr == 0)
 
@@ -304,15 +317,15 @@ def _grid_cases(n):
     for name in ("sgd", "sag", "saga", "svrg", "sdca_primal", "cd_random", "sdca"):
         variants = [{}, {"step": 1 / 500}] + ([{"epoch": 3}] if name == "svrg" else [])
         for kw in variants:
-            sched = make_optimizer(name, L=L, mu=MU, n=n, **kw)
+            sched = make_optimizer(name, L=L, mu=MU, **kw)
             grid = rlm_grid if name == "sdca" else fsm_grid
             for replacement in (True, False) if name != "cd_random" else (True,):
                 cases.append((sched, grid, replacement))
     toy_grid = [toy_instance(eta, MU, L) for eta in (MU, 7.0, L)]
-    sag = make_optimizer("sag", L=L, mu=MU, n=1)
+    sag = make_optimizer("sag", L=L, mu=MU)
     cases += [(sag, toy_grid, True), (sag, toy_grid, False)]
     dense_grid = _dense_grid(n, 4, np.random.default_rng(n))
-    cases += [(make_optimizer(name, L=L, mu=MU, n=n), dense_grid, True)
+    cases += [(make_optimizer(name, L=L, mu=MU), dense_grid, True)
               for name in ("sag", "svrg", "cd_random")]
     return cases
 
@@ -338,7 +351,7 @@ def test_grid_batch_of_unlike_blocks_takes_dense_path():
     grid = [fsm_instance(np.full(4, 3.0), Lg, MU, R, 4) for Lg in (L, L / 2)]
     assert not BatchedEngine(grid, 2, 10).block
     assert BatchedEngine(grid[:1], 2, 10).block
-    sched = make_optimizer("saga", L=L, mu=MU, n=4)
+    sched = make_optimizer("saga", L=L, mu=MU)
     blocks = batched_curves(sched, grid, 30, 2).reshape(2, 2, -1)
     for g, inst in enumerate(grid):
         for s in range(2):

@@ -133,6 +133,14 @@ def test_sgn_moment_nonzero_at_degree_k():
     assert abs(sgn_chebyshev_moment(2, 2)) > 1e-3
 
 
+def test_sgn_moment_of_sign_function():
+    # sgn(U_1(eta)) = sgn(eta), whose moments are 2/(j+1) for odd j and 0 for
+    # even j: the nonzero values, in doubles, to within rounding
+    for j in range(40):
+        exact = 2 / (j + 1) if j % 2 else 0.0
+        assert abs(sgn_chebyshev_moment(j, 1) - exact) <= 1e-15, j
+
+
 def test_serialization_roundtrip():
     polys = [
         MultiPoly(2, {(0, 0): Fraction(-1, 3), (2, 1): Fraction(7, 2)}),

@@ -69,7 +69,7 @@ def test_trace_sup_error_dominates_lower_bound():
 
 
 def test_stochastic_trace_respects_budget():
-    sched = make_optimizer("sgd", L=100.0, mu=1.0, n=3)
+    sched = make_optimizer("sgd", L=100.0, mu=1.0)
     for seed in range(3):
         vec = trace_oblivious(sched, "fsm", 5, seed=seed, n=3, d=4,
                               L=100.0, mu=1.0, R=1.0)
@@ -78,14 +78,14 @@ def test_stochastic_trace_respects_budget():
 
 def test_smooth_trace_zero_constant_term():
     for name in ("gd", "agd", "hb"):
-        sched = make_optimizer(name, L=1.0, mu=0.01, n=1)
+        sched = make_optimizer(name, L=1.0, mu=0.01)
         vec = trace_oblivious(sched, "smooth", 6, d=3, L=1.0, R=1.0)
         for e in vec.entries:
             assert e.constant_term() == 0
 
 
 def test_rlm_trace_variable_budget():
-    sched = make_optimizer("sdca", n=4)
+    sched = make_optimizer("sdca")
     vec = trace_oblivious(sched, "rlm", 8, n=4, lam=0.05)
     assert vec.variable_degree_sum() <= 8
     for e in vec.entries:
@@ -93,7 +93,7 @@ def test_rlm_trace_variable_budget():
 
 
 def test_trace_refuses_non_oblivious():
-    sched = make_optimizer("lbfgs", L=4.0, mu=1.0, n=1)
+    sched = make_optimizer("lbfgs", L=4.0, mu=1.0)
     with pytest.raises(ValueError):
         trace_oblivious(sched, "toy", 3, L=4.0, mu=1.0)
 
