@@ -54,22 +54,12 @@ def _eval_monomial(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(x, coef)
 
 
-def _sample(f, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except Exception:
-        pass
-    return np.asarray([f(v) for v in x], dtype=float)
-
-
 def best_uniform(f, interval, k: int, grid: int = 4097):
     """Discrete minimax fit of a degree-k polynomial to f on [a, b].
 
     Solves min_c max_i |p_c(x_i) - f(x_i)| as an LP on a Chebyshev grid, then
     returns (sup-error of the fitted candidate on a 10x finer grid, monomial
-    coefficients).
+    coefficients).  `f` maps an array of points to the array of its values.
     """
     a, b = interval
     if not b > a:
@@ -77,7 +67,7 @@ def best_uniform(f, interval, k: int, grid: int = 4097):
     if grid < 8 * (k + 1):
         raise ValueError("grid too coarse for the requested degree")
     x = _cheb_grid(a, b, grid)
-    y = _sample(f, x)
+    y = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("f must be finite on the grid")
     V = _design(x, a, b, k)
@@ -92,7 +82,7 @@ def best_uniform(f, interval, k: int, grid: int = 4097):
         raise ConditioningError(f"minimax LP failed: {res.message}")
     coef = _to_monomial(res.x[:nc], a, b)
     xf = _cheb_grid(a, b, 10 * grid)
-    yf = _sample(f, xf)
+    yf = np.asarray(f(xf), dtype=float)
     err = float(np.max(np.abs(_eval_monomial(coef, xf) - yf)))
     return err, coef
 
@@ -106,12 +96,13 @@ def best_l1(f, interval, k: int, grid: int = 8193):
     marginals, and the duality gap certifies each solve.  Returns (trapezoid
     L1 error of the candidate on a 10x finer grid, monomial coefficients).
     Pass k = -1 to force the zero polynomial (an empty candidate set P_{-1}).
+    `f` maps an array of points to the array of its values.
     """
     a, b = interval
     if not b > a:
         raise ValueError("need b > a")
     x = np.linspace(a, b, grid)
-    y = _sample(f, x)
+    y = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("f must be finite on the grid")
     w = np.full(grid, (b - a) / (grid - 1))
@@ -132,7 +123,7 @@ def best_l1(f, interval, k: int, grid: int = 8193):
             raise ConditioningError(f"L1 LP duality gap too large: primal {primal!r}, dual {dual!r}")
         coef = _to_monomial(ccoef, a, b)
     xf = np.linspace(a, b, 10 * grid)
-    yf = _sample(f, xf)
+    yf = np.asarray(f(xf), dtype=float)
     r = np.abs(_eval_monomial(coef, xf) - yf)
     err = float(np.trapezoid(r, xf))
     return err, coef

@@ -133,8 +133,7 @@ def fsm_envelope_prefactor(mu: float, L: float, n: int, R: float) -> float:
 
 def rlm_rate_envelope(lam: float, n: int, k):
     """(1/2)(n lam/2)^2 ((sqrt(2/(lam n)+1) - 1)/(sqrt(2/(lam n)+1) + 1))**(2k/n)."""
-    root = math.sqrt(2 / (lam * n) + 1)
-    ratio = (root - 1) / (root + 1)
+    ratio = _ratio_from_root(2 / (lam * n) + 1)
     return 0.5 * (n * lam / 2) ** 2 * ratio ** (2 * np.asarray(k) / n)
 
 

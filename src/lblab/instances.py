@@ -172,35 +172,50 @@ def _finish(comps, mu, L) -> QuadraticInstance:
     return QuadraticInstance(tuple(comps), mu, L, w, opt)
 
 
+# The component builders below take float parameters (the instance factories)
+# or MultiPoly indeterminates (the symbolic tracer); the other constants stay
+# floats, which MultiPoly's operators read as the rationals they are.
+
+
+def toy_components(eta) -> list:
+    """The one component of f_eta(w) = eta w^2/2 - w."""
+    return [(DenseSym(np.array([[eta]])), np.array([1.0]))]
+
+
 def toy_instance(eta: float, mu: float, L: float) -> QuadraticInstance:
     """Scalar f_eta(w) = eta w^2/2 - w; minimizer 1/eta, value -1/(2 eta)."""
     if not (mu <= eta <= L):
         raise ValueError("eta must lie in [mu, L]")
-    comp = (DenseSym(np.array([[float(eta)]])), np.array([1.0]))
-    return QuadraticInstance((comp,), mu, L, np.array([1.0 / eta]), -0.5 / eta)
+    return QuadraticInstance(tuple(toy_components(float(eta))), mu, L,
+                             np.array([1.0 / eta]), -0.5 / eta)
+
+
+def fsm_components(etas, L: float, mu: float, R: float, d: int) -> list:
+    """One component per eta_i: the 2x2 block [[(L+mu)/2, eta_i],
+    [eta_i, (L+mu)/2]] padded with diagonal mu, and the shared linear term
+    q = (R mu/sqrt2, R mu/sqrt2, 0, ...)."""
+    if d < 2:
+        raise ValueError("need d >= 2")
+    h = (L + mu) / 2
+    q = np.zeros(d)
+    q[0] = q[1] = R * mu / math.sqrt(2)
+    return [(Block2Diag(d, h, e, mu), q) for e in etas]
 
 
 def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstance:
-    """n components sharing the linear term q = (R mu/sqrt2, R mu/sqrt2, 0, ...);
-    component i carries the 2x2 block [[(L+mu)/2, eta_i], [eta_i, (L+mu)/2]]
-    padded with diagonal mu.  Block eigenvalues (L+mu)/2 +- eta_i stay in
-    [mu, L] exactly when |eta_i| <= (L-mu)/2."""
+    """The n components of `fsm_components`.  Block eigenvalues
+    (L+mu)/2 +- eta_i stay in [mu, L] exactly when |eta_i| <= (L-mu)/2."""
     etas = np.asarray(etas, dtype=float)
-    if d < 2:
-        raise ValueError("need d >= 2")
+    comps = fsm_components(etas.tolist(), L, mu, R, d)
     if not L > mu > 0:
         raise ValueError("need L > mu > 0")
     half = (L - mu) / 2
     if np.any(np.abs(etas) > half + 1e-12):
         raise ValueError("|eta_i| must not exceed (L - mu)/2")
-    h = (L + mu) / 2
-    q = np.zeros(d)
-    q[0] = q[1] = R * mu / math.sqrt(2)
     # equal etas (bit for bit, so -0.0 is not 0.0) share one component, which
     # `QuadraticInstance.value` then evaluates once
     shared = {}
-    comps = [shared.setdefault(float(e).hex(), (Block2Diag(d, h, float(e), mu), q))
-             for e in etas]
+    comps = [shared.setdefault(Q.e.hex(), (Q, q)) for Q, q in comps]
     inst = _finish(comps, mu, L)
     closed = fsm_minimizer(etas, L, mu, R, d)
     assert np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed))
@@ -228,16 +243,19 @@ def fsm_minimizer_separation(n: int, kappa: float, R: float, j: int = 0) -> floa
     return sep
 
 
+def smooth_components(eta, R: float, d: int) -> list:
+    """The one component of g_eta(x) = (eta/2)||x||^2 - R eta e_1'x."""
+    return [(DenseSym(np.eye(d) * eta), np.array([R * eta] + [0.0] * (d - 1)))]
+
+
 def smooth_instance(eta: float, R: float, d: int, L: float) -> QuadraticInstance:
     """g_eta(x) = (eta/2)||x||^2 - R eta e_1'x; minimizer R e_1 for every eta."""
     if not 0 < eta <= L:
         raise ValueError("eta must lie in (0, L]")
-    q = np.zeros(d)
-    q[0] = R * eta
-    comp = (DenseSym(np.eye(d) * eta), q)
     w = np.zeros(d)
     w[0] = R
-    return QuadraticInstance((comp,), eta, eta, w, -0.5 * R * R * eta)
+    return QuadraticInstance(tuple(smooth_components(float(eta), R, d)), eta, eta, w,
+                             -0.5 * R * R * eta)
 
 
 def nesterov_chain(d: int, L: float, mu: float) -> QuadraticInstance:

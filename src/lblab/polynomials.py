@@ -148,8 +148,9 @@ class MultiPoly:
         return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
     def _combine(self, other, sign: int) -> "MultiPoly":
-        """self + sign * other: self's terms in order, then other's new ones."""
-        if isinstance(other, (int, Fraction)):
+        """self + sign * other: self's terms in order, then other's new ones.
+        A scalar other is the exact rational it is, as in `scale`."""
+        if isinstance(other, (int, float, Fraction)):
             if not other:
                 return self
             other = MultiPoly.constant(self.nvars, other)

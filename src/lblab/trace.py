@@ -2,14 +2,16 @@
 
 The iterates are polynomials in the instance parameters (eta per component
 for the quadratic families, sin psi per pair for the dual family).  The
-tracer answers through the same structures as the numeric engines, built
-with exact entries: `Block2Diag` with the indeterminate as its
-off-diagonal entry for the finite-sum family, `DenseSym(eta I)` for the
-scalar and smooth families, and the dual family's (diag, off) pair blocks,
-all read by the `oracles` answer arithmetic on PolyVector points.  Every
-numeric constant is coerced to an exact binary rational so the degree
-accounting is exact.  Each oracle answer can raise the degree by at most
-one, and the tracer asserts the matching degree budget after every call:
+tracer answers through the same structures as the numeric engines: the
+quadratic families' components come from the instances' own builders
+(`toy_components`, `smooth_components`, `fsm_components`) called with
+MultiPoly indeterminates for the parameters, and the dual family's
+(diag, off) pair blocks are built here.  All of them are read by the
+`oracles` answer arithmetic on PolyVector points.  The builders' float
+constants stay floats; MultiPoly's operators coerce each one to the exact
+binary rational it is, so the degree accounting is exact.  Each oracle
+answer can raise the degree by at most one, and the tracer asserts the
+matching degree budget after every call:
 
 - quadratic families: total degree of every entry <= calls made;
 - the single-function smooth family: additionally a zero constant term;
@@ -23,21 +25,16 @@ one, and the tracer asserts the matching degree budget after every call:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from .instances import Block2Diag, DenseSym
+from .instances import fsm_components, smooth_components, toy_components
 from .oracles import ComponentOracle, PairOracle, SingleRunEngine, answer
 from .polynomials import MultiPoly, PolyVector, UniPoly
-from .optimizers import Schedule, _drive, make_rng
+from .optimizers import Schedule, _drive, check_family, make_rng
 
 FAMILIES = ("toy", "fsm", "smooth", "rlm")
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(float(x))
 
 
 class DegreeViolation(AssertionError):
@@ -45,10 +42,10 @@ class DegreeViolation(AssertionError):
 
 
 class _PolyComponents(ComponentOracle, SingleRunEngine):
-    """A quadratic family's (Q, q) components with exact entries."""
+    """A quadratic family's (Q, q) components with polynomial entries."""
 
-    def __init__(self, components, d, nvars):
-        super().__init__(len(components), PolyVector.zeros(d, nvars))
+    def __init__(self, components, nvars):
+        super().__init__(len(components), PolyVector.zeros(len(components[0][1]), nvars))
         self.components = components
 
     def diag(self, j, i):
@@ -68,35 +65,25 @@ class _PolyPairs(PairOracle, SingleRunEngine):
         self.blocks, self.lin = blocks, lin
 
 
-def _objects(values) -> np.ndarray:
-    return np.array(values, dtype=object)
-
-
 def _sym_engine(family, n=1, d=1, L=1.0, mu=1.0, R=1.0, lam=0.01):
-    """The family's oracle structures over exact entries; each constant is one
-    float expression coerced to the rational it rounds to."""
+    """The family's oracle structures with an indeterminate per parameter."""
     eta = MultiPoly.var(1, 0)
     if family == "toy":
-        return _PolyComponents([(DenseSym(_objects([[eta]])), _objects([1]))], 1, 1)
+        return _PolyComponents(toy_components(eta), 1)
     if family == "smooth":
-        q = _objects([eta * _frac(R)] + [Fraction(0)] * (d - 1))
-        return _PolyComponents([(DenseSym(np.eye(d, dtype=object) * eta), q)], d, 1)
+        return _PolyComponents(smooth_components(eta, R, d), 1)
     if family == "fsm":
-        if d < 2:
-            raise ValueError("need d >= 2")
-        h = _frac((float(L) + float(mu)) / 2)
-        q0 = _frac(float(R) * float(mu) / math.sqrt(2))
-        q = _objects([q0, q0] + [Fraction(0)] * (d - 2))
-        return _PolyComponents([(Block2Diag(d, h, MultiPoly.var(n, j), _frac(mu)), q)
-                                for j in range(n)], d, n)
+        etas = [MultiPoly.var(n, j) for j in range(n)]
+        return _PolyComponents(fsm_components(etas, L, mu, R, d), n)
     if family == "rlm":
         if n % 2:
             raise ValueError("n must be even")
+        # not shared with `RlmInstance.blocks` (sin psi/ln/n there, fl(1/(ln n))
+        # times sin psi here): either form moves pinned rlm envelope or trace bytes
         ln = float(lam) * n
-        off = _frac(1 / (ln * n))
-        blocks = ([_frac((1 + 1 / ln) / n)] * (n // 2),
-                  [MultiPoly.var(n // 2, p) * off for p in range(n // 2)])
-        return _PolyPairs(blocks, _frac(1 / n))
+        blocks = ([(1 + 1 / ln) / n] * (n // 2),
+                  [MultiPoly.var(n // 2, p) * (1 / (ln * n)) for p in range(n // 2)])
+        return _PolyPairs(blocks, 1 / n)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -131,6 +118,7 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
         raise ValueError(f"{schedule.name} is not declared oblivious; refusing to trace")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    check_family(schedule, family == "rlm")
     engine = _sym_engine(family, n=n, d=d, L=L, mu=mu, R=R, lam=lam)
     engine.rng = make_rng(seed)
 
@@ -158,29 +146,11 @@ def trace_gd_toy(k: int, L) -> UniPoly:
     return w
 
 
-def _minimizer_for(family, point, n=1, d=1, L=1.0, mu=1.0, R=1.0, lam=0.01):
-    from . import instances
-    if family == "toy":
-        return np.array([1.0 / point[0]])
-    if family == "smooth":
-        w = np.zeros(d)
-        w[0] = R
-        return w
-    if family == "fsm":
-        return instances.fsm_minimizer(np.asarray(point, dtype=float), L, mu, R, d)
-    if family == "rlm":
-        # point carries the sin psi values directly
-        ln = lam * n
-        vals = 1.0 / ((ln + 1) / ln + np.asarray(point, dtype=float) / ln)
-        return np.repeat(vals, 2)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def trace_sup_error(tracevec: PolyVector, family: str, grid, n=1, d=1,
-                    L=1.0, mu=1.0, R=1.0, lam=0.01) -> float:
+def trace_sup_error(tracevec: PolyVector, grid, minimizer) -> float:
     """max over the grid of || trace(point) - minimizer(point) ||.
 
-    Grid entries are parameter tuples (one scalar per indeterminate)."""
+    Grid entries are parameter tuples (one scalar per indeterminate), and
+    `minimizer` maps one to the instance's minimizer."""
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
@@ -188,8 +158,7 @@ def trace_sup_error(tracevec: PolyVector, family: str, grid, n=1, d=1,
     for point in grid:
         point = tuple(np.atleast_1d(point))
         vals = np.array([float(e(point)) for e in tracevec.entries])
-        target = _minimizer_for(family, point, n=n, d=d, L=L, mu=mu, R=R, lam=lam)
-        worst = max(worst, float(np.linalg.norm(vals - target)))
+        worst = max(worst, float(np.linalg.norm(vals - minimizer(point))))
     return worst
 
 

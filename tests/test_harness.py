@@ -174,8 +174,11 @@ def test_verify_all_clean():
     assert "FAIL" not in report
 
 
-def test_verify_all_detects_corruption():
-    checks = verify_all(corrupt="maxnorm_prefactor", quick=True)
+def test_verify_all_detects_corruption(monkeypatch):
+    # an inflated uniform-norm bound must fail the sandwich check
+    maxnorm_lb = harness.bounds.maxnorm_lb
+    monkeypatch.setattr(harness.bounds, "maxnorm_lb", lambda *a: 1.5 * maxnorm_lb(*a))
+    checks = verify_all(quick=True)
     assert any(not c[2] for c in checks)
 
 

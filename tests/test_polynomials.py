@@ -37,6 +37,21 @@ def test_add_zero_identity():
     assert p + MultiPoly(2, {}) == p
 
 
+@pytest.mark.parametrize("r", [0.1, -2.5, 1e-300, 3.0])
+def test_float_operand_is_the_rational_it_is(r):
+    x = MultiPoly.var(2, 0) * Fraction(1, 3) + MultiPoly.var(2, 1)
+    assert x + r == x + Fraction(r)
+    assert x - r == x - Fraction(r)
+    assert x * r == x * Fraction(r)
+    assert x / r == x / Fraction(r)
+
+
+def test_adding_a_float_zero_returns_the_operand():
+    x = MultiPoly.var(2, 0)
+    assert x + 0.0 is x
+    assert x - (-0.0) is x
+
+
 def test_zero_degree_sentinel():
     assert MultiPoly(3, {}).total_degree == NEG_INF
     assert UniPoly([]).degree == NEG_INF

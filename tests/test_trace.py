@@ -9,10 +9,11 @@ import pytest
 
 from lblab import cli
 from lblab.bounds import maxnorm_lb
-from lblab.instances import toy_instance
+from lblab.instances import fsm_instance, toy_instance
 from lblab.optimizers import Schedule, make_optimizer, run
 from lblab.oracles import FirstOrder
-from lblab.trace import (DegreeViolation, fig2_data, trace_gd_toy,
+from lblab.polynomials import MultiPoly
+from lblab.trace import (DegreeViolation, _sym_engine, fig2_data, trace_gd_toy,
                          trace_oblivious, trace_sup_error)
 
 
@@ -62,7 +63,8 @@ def test_trace_sup_error_dominates_lower_bound():
     sched = make_optimizer("gd", L=L, mu=mu)
     for k in range(5):
         vec = trace_oblivious(sched, "toy", k, L=L, mu=mu)
-        sup = trace_sup_error(vec, "toy", np.linspace(mu, L, 513), L=L, mu=mu)
+        sup = trace_sup_error(vec, np.linspace(mu, L, 513),
+                              lambda p: toy_instance(p[0], mu, L).minimizer)
         assert sup >= maxnorm_lb(mu, L, 0.0, k) - 1e-9
     # spot check: k = 4 lower bound is 3/8 * (1/3)^4
     assert maxnorm_lb(1, 4, 0, 4) == pytest.approx(3 / 8 / 81)
@@ -92,10 +94,34 @@ def test_rlm_trace_variable_budget():
         assert e.total_degree <= 8
 
 
+def test_traced_fsm_structures_equal_the_instance_exactly():
+    # the tracer's components at float etas are the numeric instance's,
+    # entry for entry, as exact rationals
+    etas, d, L, mu, R = [3.0, -7.25, 0.1], 5, 100.0, 1.0, 0.7
+    point = tuple(Fraction(e) for e in etas)
+
+    def exact(c):
+        return (MultiPoly(len(etas), {}) + c)(point)
+
+    sym = _sym_engine("fsm", n=len(etas), d=d, L=L, mu=mu, R=R)
+    inst = fsm_instance(etas, L, mu, R, d)
+    for (Qs, qs), (Q, q) in zip(sym.components, inst.components, strict=True):
+        for attr in ("h", "e", "tail"):
+            assert exact(getattr(Qs, attr)) == Fraction(getattr(Q, attr)), attr
+        assert [exact(c) for c in qs] == [Fraction(c) for c in q]
+
+
 def test_trace_refuses_non_oblivious():
     sched = make_optimizer("lbfgs", L=4.0, mu=1.0)
     with pytest.raises(ValueError):
         trace_oblivious(sched, "toy", 3, L=4.0, mu=1.0)
+
+
+@pytest.mark.parametrize("opt,family", [("sgd", "rlm"), ("sdca", "fsm"), ("cd_random", "rlm")])
+def test_trace_refuses_a_schedule_of_the_other_oracle_family(opt, family):
+    # the same ValueError as `run`, before any oracle is asked
+    with pytest.raises(ValueError, match="does not run on the"):
+        trace_oblivious(make_optimizer(opt, L=100.0, mu=1.0), family, 3, n=4, d=4)
 
 
 def test_trace_catches_degree_cheating():
@@ -125,7 +151,7 @@ def test_fig2_agd_dominates_gd_at_k4():
 def test_trace_sup_error_validates_grid():
     vec = trace_oblivious(make_optimizer("gd", L=4.0, mu=1.0), "toy", 2, L=4.0, mu=1.0)
     with pytest.raises(ValueError):
-        trace_sup_error(vec, "toy", [])
+        trace_sup_error(vec, [], lambda p: toy_instance(p[0], 1.0, 4.0).minimizer)
 
 
 # sha256 of `lblab trace --opt <opt> <family flags> --k 7 --seed 1 --kappa 7`:
