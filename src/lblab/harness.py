@@ -102,9 +102,11 @@ def _apply(cfg, key, val, where=""):
 
 
 def worker_count() -> int:
-    """Envelope pool size: LBLAB_THREADS, else 1.  Batched schedule steps
-    hold the interpreter lock, so on 2 cores a second worker made the fsm
-    envelope about 10% slower and its run-to-run spread about twice as wide.
+    """Envelope pool size: LBLAB_THREADS, else 1.  On 2 cores, with the
+    batched engines' per-step kernels as they are now, a second worker made
+    the montecarlo benchmark (the fsm and rlm envelopes and
+    sampling-compare) slower in 6 of 6 paired runs, its median pass from
+    0.68 s to 0.75 s, and raised its peak memory from 51.8 to 59.6 MB.
     """
     env = os.environ.get("LBLAB_THREADS")
     if env:

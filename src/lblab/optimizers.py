@@ -384,9 +384,22 @@ class _Batched:
     seed=s)` does, but all at once: the first `draw` builds every seed's
     stream for the kinds it is asked for, which a schedule asks for at every
     step, and `iterations` draws suffice because each step that draws also
-    calls the oracle.  Every grid point then reads the same draw for seed s.
-    Without replacement, the components come in consecutive random
-    permutations of range(n).  `calls` counts oracle calls per row.
+    calls the oracle.  Every grid point then reads the same draw for seed s,
+    so a draw is one seed row tiled G times.  Without replacement, the
+    components come in consecutive random permutations of range(n).
+    `calls` counts oracle calls per row.
+
+    Per-row lookups read flat offsets.  Entry (row, j) of a C-contiguous
+    array of shape (rows, m, ...) is entry row*m + j of its (rows*m, ...)
+    reshape, so `take` at `rows * m + j` reads what the index pair
+    (rows, j) reads, and writing through the reshape (a view, since every
+    table is made C-contiguous here) writes the table.
+
+    Summation order is part of the contract.  Every kernel works row by row
+    and adds each row's terms in an order that does not depend on the other
+    rows, so a row's floats do not depend on what else the batch holds; and
+    `BatchedEngine.suboptimality` adds in the order of the three-operand
+    einsum it replaced, so its bits are that einsum's.
     """
 
     def __init__(self, instances, dim, seeds, iterations, replacement):
@@ -400,8 +413,9 @@ class _Batched:
         self.calls = 0
         self._iterations, self._replacement = iterations, replacement
         self._streams = None
-        self._seed_of_row = self.rows % seeds
         self._next = 0
+        self._row_n = self.rows * self.n  # row offsets into (rows, n, ...) arrays
+        self._row_d = self.rows * self.d  # and into (rows, d) points
 
     def _build_streams(self, kinds):
         rngs = [make_rng(s) for s in range(self.seeds)]
@@ -420,7 +434,7 @@ class _Batched:
     def draw(self, *kinds):
         if self._streams is None:
             self._streams = self._build_streams(kinds)
-        out = self._streams[self._next][:, self._seed_of_row]
+        out = np.tile(self._streams[self._next], self.grid)
         self._next += 1
         return out
 
@@ -439,14 +453,14 @@ class _Batched:
         return np.zeros((len(self.rows), self.n, self.d))
 
     def gather(self, table, j):
-        return table[self.rows, j]
+        return table.reshape(-1, self.d).take(self._row_n + j, axis=0)
 
     def scatter(self, table, j, value):
-        table[self.rows, j] = value
+        table.reshape(-1, self.d)[self._row_n + j] = value
 
     def add_to_entry(self, W, iv, t):
         out = W.copy()
-        out[self.rows, iv] += t
+        out.reshape(-1)[self._row_d + iv] += t
         return out
 
 
@@ -460,36 +474,44 @@ class BatchedEngine(_Batched):
                          and np.array_equal(q, q0)
                          for inst in instances for Q, q in inst.components)
         if self.block:  # only the off-diagonal entry e differs between components
-            self.h, self.tail, self.q = Q0.h, Q0.tail, q0
+            # q is tiled to one row per run: subtracting a (d,) vector runs
+            # numpy's inner loop once per row
+            self.h, self.tail, self.q = Q0.h, Q0.tail, np.tile(q0, (len(self.rows), 1))
             self.e = self.per_row([[Q.e for Q, _ in inst.components] for inst in instances])
-        else:
-            self.Qs = np.stack([[Q.dense() for Q, _ in inst.components] for inst in instances])
-            self.qs = np.stack([[q for _, q in inst.components] for inst in instances])
-            self._grid_of_row = self.rows // seeds
+        else:  # component j of grid point g is entry g*n + j
+            self.Qs = np.stack([Q.dense() for inst in instances for Q, _ in inst.components])
+            self.qs = np.stack([q for inst in instances for _, q in inst.components])
+            self._comp_of_row = self.rows // seeds * self.n
         self.A = np.stack([inst.mean_matrix() for inst in instances])
         self.qbar = np.stack([inst.mean_q() for inst in instances])
+        # the (i, j) entries of A nonzero at some grid point, in (i, j) order,
+        # with A_ij per row
+        self._quad_terms = [(i, j, self.per_row(self.A[:, i, j]))
+                            for i, j in np.argwhere(self.A.any(axis=0))]
 
     def _by_grid(self, W):
         return W.reshape(self.grid, self.seeds, self.d)
 
     def comp_grad(self, jv, W):
         if self.block:
-            return Block2Diag(self.d, self.h, self.e[self.rows, jv], self.tail).matvec(W) - self.q
+            e = self.e.take(self._row_n + jv)
+            return Block2Diag(self.d, self.h, e, self.tail).matvec(W) - self.q
         # matmul runs the scalar engine's BLAS kernels (gemv here, dot in
         # grad_entry) row by row, so each row rounds as the scalar run does
-        g = self._grid_of_row
-        return (self.Qs[g, jv] @ W[:, :, None])[:, :, 0] - self.qs[g, jv]
+        c = self._comp_of_row + jv
+        return (self.Qs.take(c, axis=0) @ W[:, :, None])[:, :, 0] - self.qs.take(c, axis=0)
 
     def diag(self, jv, iv):
         if self.block:
             return np.where(iv < 2, self.h, self.tail)
-        return self.Qs[self._grid_of_row, jv, iv, iv]
+        return self.Qs.take((self._comp_of_row + jv) * self.d ** 2 + iv * (self.d + 1))
 
     def grad_entry(self, jv, iv, W):
         if self.block:
-            return self.comp_grad(jv, W)[self.rows, iv]
-        g = self._grid_of_row
-        return (self.Qs[g, jv, iv][:, None, :] @ W[:, :, None])[:, 0, 0] - self.qs[g, jv, iv]
+            return self.comp_grad(jv, W).take(self._row_d + iv)
+        c = (self._comp_of_row + jv) * self.d + iv
+        return ((self.Qs.reshape(-1, self.d).take(c, axis=0)[:, None, :] @ W[:, :, None])[:, 0, 0]
+                - self.qs.take(c))
 
     def mean_grad(self, W, ask):
         # one gemm per grid point, as a run over that point's seeds alone
@@ -498,10 +520,18 @@ class BatchedEngine(_Batched):
         return G.reshape(W.shape)
 
     def suboptimality(self, W):
-        Wg = self._by_grid(W)
-        val = (0.5 * np.einsum("gsi,gij,gsj->gs", Wg, self.A, Wg)
-               - (Wg @ self.qbar[:, :, None])[..., 0])
-        return self.less_opt(val)
+        """Per-row f(w) - f*, the quadratic form added as the reference
+        `np.einsum("gsi,gij,gsj->gs", Wg, A, Wg)` adds it: the terms
+        (W_i A_ij) W_j in (i, j) order into +0.  Entries of A that are zero
+        at every grid point are skipped: at a finite point their terms are
+        +-0, and adding +-0 to a sum that starts at +0 (and so is never -0)
+        leaves it unchanged.  So the bits equal the einsum's at every finite
+        point."""
+        quad = np.zeros(len(W))
+        for i, j, a in self._quad_terms:
+            quad += (W[:, i] * a) * W[:, j]
+        lin = (self._by_grid(W) @ self.qbar[:, :, None]).ravel()
+        return self.less_opt(0.5 * quad - lin)
 
 
 class BatchedDualEngine(PairOracle, _Batched):
@@ -517,7 +547,7 @@ class BatchedDualEngine(PairOracle, _Batched):
         self.lin = 1.0 / self.n
 
     def _at(self, x, i):
-        return x[self.rows, i]
+        return x.take(self.rows * x.shape[1] + i)
 
     def suboptimality(self, A):
         G = RlmInstance.pair_matvec(*self.blocks, A)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lblab.instances import (DenseSym, QuadraticInstance, fsm_instance,
+from lblab.instances import (Block2Diag, DenseSym, QuadraticInstance, fsm_instance,
                              nesterov_chain, rlm_instance, toy_instance)
 from lblab.optimizers import (DETERMINISTIC_NAMES, OPTIMIZER_NAMES,
                               BatchedDualEngine, BatchedEngine, Schedule,
@@ -357,6 +357,126 @@ def test_grid_batch_of_unlike_blocks_takes_dense_path():
         for s in range(2):
             ref = run(sched, inst, 30, seed=s).errors
             assert np.allclose(blocks[g, s], ref, rtol=1e-9, atol=1e-15)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _einsum_suboptimality(engine, W):
+    """The batched suboptimality as the three-operand einsum computes it."""
+    Wg = W.reshape(engine.grid, engine.seeds, engine.d)
+    val = (0.5 * np.einsum("gsi,gij,gsj->gs", Wg, engine.A, Wg)
+           - (Wg @ engine.qbar[:, :, None])[..., 0])
+    return engine.less_opt(val)
+
+
+def test_suboptimality_equals_three_operand_einsum_bit_for_bit():
+    """The batched suboptimality adds only the entries of the mean matrices
+    that are nonzero at some grid point; equality with the einsum is
+    promised at every finite point."""
+    fsm_grid = [fsm_instance(np.full(8, eta), L, MU, R, 4)
+                for eta in np.linspace(-(L - MU) / 2, (L - MU) / 2, 9)]
+    assert any(inst.mean_matrix()[0, 1] == 0 for inst in fsm_grid)  # the eta = 0 point
+    cancel = np.array([3.0, -3.0, 0.1, -0.1])  # mean off-diagonal exactly 0
+    grids = {
+        "fsm": fsm_grid,
+        "dense": _dense_grid(6, 4, np.random.default_rng(2)),
+        "cancels everywhere": [fsm_instance(s * cancel, L, MU, R, 3) for s in (1.0, 2.0)],
+        "cancels at one point": [fsm_instance(cancel + shift, L, MU, R, 3)
+                                 for shift in (0.0, 0.5)],
+        # no diagonal term, so at a signed-zero point every term can be -0
+        "zero diagonal": [QuadraticInstance(((DenseSym(np.array([[0.0, s], [s, 0.0]])),
+                                              np.zeros(2)),), MU, L, np.zeros(2), 0.0)
+                          for s in (1.0, -2.0)],
+    }
+    assert all(inst.mean_matrix()[0, 1] == 0 for inst in grids["cancels everywhere"])
+    rng = np.random.default_rng(7)
+    seeds = 5
+    for label, grid in grids.items():
+        engine = BatchedEngine(grid, seeds, 10)
+        rows, d = len(engine.rows), engine.d
+        signs = np.where(rng.random((rows, d)) < 0.5, -1.0, 1.0)
+        points = [engine.zero(), -engine.zero(), signs * 0.0]  # call 0 and signed zeros
+        for _ in range(20):  # finite points of mixed magnitudes and signs
+            points.append(rng.normal(size=(rows, d))
+                          * 10.0 ** rng.integers(-12, 12, size=(rows, d)))
+        tiny = np.where(rng.random((rows, d)) < 0.5, 0.0, rng.normal(size=(rows, d)) * 1e-160)
+        points.append(tiny)  # products that underflow to +-0
+        for W in points:
+            assert _same_bits(engine.suboptimality(W), _einsum_suboptimality(engine, W)), label
+
+
+def test_batched_lookups_equal_two_index_forms():
+    # every flat-offset lookup reads (and writes) what x[rows, j] does, on a
+    # grid of G > 1 instances, for the block and the dense kernels
+    rng = np.random.default_rng(3)
+    seeds, iterations = 4, 12
+    fsm_grid = [fsm(seed=g, n=6) for g in range(3)]
+    dense_grid = _dense_grid(6, 4, np.random.default_rng(5))
+    for grid in (fsm_grid, dense_grid):
+        engine = BatchedEngine(grid, seeds, iterations)
+        assert engine.block == (grid is fsm_grid)
+        rows, n, d = engine.rows, engine.n, engine.d
+        jv, iv = rng.integers(n, size=len(rows)), rng.integers(d, size=len(rows))
+        W = rng.normal(size=(len(rows), d))
+        table = engine.table()
+        assert table.shape == (len(rows), n, d) and table.flags.c_contiguous
+        table[:] = rng.normal(size=table.shape)
+        assert _same_bits(engine.gather(table, jv), table[rows, jv])
+        value, want = rng.normal(size=(len(rows), d)), table.copy()
+        want[rows, jv] = value
+        engine.scatter(table, jv, value)
+        # the write lands in the table itself: a reshape that copied (of a
+        # table that was not C-contiguous) would drop it without an error
+        assert _same_bits(table, want)
+        t, want = rng.normal(size=len(rows)), W.copy()
+        want[rows, iv] += t
+        assert _same_bits(engine.add_to_entry(W, iv, t), want)
+        # component lookups, against the per-instance tables indexed by
+        # (grid point of the row, component)
+        g = rows // seeds
+        comps = [inst.components for inst in grid]
+        Qs = np.stack([[Q.dense() for Q, _ in c] for c in comps])
+        qs = np.stack([[q for _, q in c] for c in comps])
+        if engine.block:
+            e = np.stack([[Q.e for Q, _ in c] for c in comps])[g]
+            Q0 = comps[0][0][0]
+            want = Block2Diag(d, Q0.h, e[rows, jv], Q0.tail).matvec(W) - comps[0][0][1]
+            assert _same_bits(engine.comp_grad(jv, W), want)
+            assert _same_bits(engine.grad_entry(jv, iv, W), want[rows, iv])
+        else:
+            want = (Qs[g, jv] @ W[:, :, None])[:, :, 0] - qs[g, jv]
+            assert _same_bits(engine.comp_grad(jv, W), want)
+            want = (Qs[g, jv, iv][:, None, :] @ W[:, :, None])[:, 0, 0] - qs[g, jv, iv]
+            assert _same_bits(engine.grad_entry(jv, iv, W), want)
+        assert _same_bits(np.asarray(engine.diag(jv, iv), dtype=float), Qs[g, jv, iv, iv])
+    # draws: row g*seeds + s reads seed s's stream, with and without replacement
+    for replacement, kinds in ((True, ("d", "n")), (True, ("n",)), (False, ("n",))):
+        engine = BatchedEngine(fsm_grid, seeds, iterations, replacement)
+        if replacement:
+            bounds = [engine.n if kind == "n" else engine.d for kind in kinds]
+            per_seed = [make_rng(s).integers(bounds, size=(iterations, len(kinds)))
+                        for s in range(seeds)]
+        else:
+            rngs = [make_rng(s) for s in range(seeds)]  # two permutations each
+            per_seed = [np.concatenate([rng.permutation(engine.n), rng.permutation(engine.n)])
+                        [:, None] for rng in rngs]
+        streams = np.stack(per_seed, axis=2)
+        for k in range(iterations):
+            assert np.array_equal(engine.draw(*kinds), streams[k][:, engine.rows % seeds])
+    # the dual engine's entries of points and of its per-row pair entries
+    rlm_grid = [rlm_instance(np.full(4, psi), 0.05, 8) for psi in (-1.2, 0.3, 0.9)]
+    engine = BatchedDualEngine(rlm_grid, seeds, iterations)
+    rows = engine.rows
+    alpha = rng.normal(size=(len(rows), engine.n))
+    for x in (alpha, engine.blocks[1]):
+        i = rng.integers(x.shape[1], size=len(rows))
+        assert _same_bits(engine._at(x, i), x[rows, i])
+    jv = rng.integers(engine.n, size=len(rows))
+    t, want = rng.normal(size=len(rows)), alpha.copy()
+    want[rows, jv] += t
+    assert _same_bits(engine.add_to_entry(alpha, jv, t), want)
 
 
 def test_batch_rejects_unlike_shapes():
