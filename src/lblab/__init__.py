@@ -17,8 +17,8 @@ from .instances import (QuadraticInstance, RlmInstance, fsm_instance,
                         smooth_instance, toy_instance)
 from .optimizers import (OPTIMIZER_NAMES, RunRecord, Schedule, audit_oblivious,
                          expected_error_curve, make_optimizer, run)
-from .polynomials import (MultiPoly, PolyVector, UniPoly, chebyshev_U,
-                          chebyshev_U_zeros, poly_from_json, poly_to_json)
-from .trace import fig2_data, trace_gd_toy, trace_oblivious, trace_sup_error
+from .polynomials import (MultiPoly, PolyVector, UniPoly, chebyshev_U, poly_from_json,
+                          poly_to_json)
+from .trace import fig2_data, trace_gd_toy, trace_oblivious
 
 __version__ = "0.1.0"

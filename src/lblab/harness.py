@@ -251,7 +251,7 @@ def cmd_approx_check(cfg: ExperimentConfig, kmax: int):
 
 def _schedule(cfg: ExperimentConfig, name: str, family: str):
     """The named schedule, checked against the oracle family it will run on."""
-    sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu)
+    sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, memory=cfg.lbfgs_memory)
     optimizers.check_family(sched, family == "rlm")
     return sched
 
@@ -307,7 +307,7 @@ def fig1_curves(cfg: ExperimentConfig):
     names = ("gd", "agd", "hb", "lbfgs")
     out = {}
     for name in names:
-        sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, memory=cfg.lbfgs_memory)
+        sched = _schedule(cfg, name, "chain")
         calls = cfg.iterations if name != "lbfgs" else 2 * cfg.iterations + 1
         rec = optimizers.run(sched, inst, calls, seed=0)
         if name == "lbfgs":
@@ -489,13 +489,13 @@ def verify_all(quick=True):
                                   L=100.0, mu=1.0, R=1.0)
 
     def gd_guarantee():
+        # |w_k - 1/eta| <= rate^(k/2)/eta, squared: the error contracts by rate per step
         mu, L = 1.0, 4.0
-        kappa = L / mu
+        rate = 1 - 2 / (1 + L / mu)
+        gd = optimizers.make_optimizer("gd", L=L)
         for eta in np.linspace(mu, L, 9):
-            w = 0.0
-            for k in range(1, 51):
-                w = (1 - eta / L) * w + 1 / L
-                assert abs(w - 1 / eta) <= (1 - 2 / (1 + kappa)) ** (k / 2) / eta + 1e-12
+            errs = optimizers.run(gd, instances.toy_instance(eta, mu, L), 50).errors
+            assert np.all(errs <= rate ** np.arange(51) * errs[0] + 1e-15)
 
     add("polynomials", "ring axioms", ring_axioms)
     add("polynomials", "chebyshev recurrence vs sine form", cheb_matches_sine)

@@ -15,11 +15,12 @@ only through engine operations, and every engine answers their queries
 through `oracles.answer`, so the same closures run on the scalar engines
 (`run`), the symbolic engines (`trace.trace_oblivious`) and the batched
 engines below (`batched_curves`), whose points hold one row per (grid
-point, seed) pair.  Each engine owns its index stream and counts its
-oracle calls.  `run`, `batched_curves`, `audit_oblivious` and
-`trace_oblivious` share one loop, `_drive`, that measures the tracked point
-per oracle call (call 0 = initialization): suboptimality, the x-axis the
-lower-bound envelopes are stated in, or the tracer's degree budget.  `expected_error_curve` runs a
+point, seed) pair.  Each engine owns its index stream, and its `log`
+counts its oracle calls by query kind and in total.  `run`,
+`batched_curves`, `audit_oblivious` and `trace_oblivious` share one loop,
+`_drive`, that measures the tracked point per oracle call (call 0 =
+initialization): suboptimality, the x-axis the lower-bound envelopes are
+stated in, or the tracer's degree budget.  `expected_error_curve` runs a
 stochastic schedule once over its whole parameter grid and averages each
 grid point's curves over seeds.
 """
@@ -292,7 +293,7 @@ def _drive(schedule: Schedule, engine, ask, measure, errors):
     oracle call, and return the final state.
 
     `errors` has shape (iterations+1,) or (rows, iterations+1);
-    `engine.calls` counts the oracle calls made so far and `measure` maps
+    `engine.log.total` counts the oracle calls made so far and `measure` maps
     the tracked point to one error (or one per row).  The point is measured
     after every step that called the oracle, including the one that passes
     `iterations`.  Multi-call steps (full gradients, snapshots) update the
@@ -308,9 +309,9 @@ def _drive(schedule: Schedule, engine, ask, measure, errors):
     cols[0] = err
     filled = k = 0
     while filled < iterations:
-        before = engine.calls
+        before = engine.log.total
         schedule.step(state, k, ask, engine)
-        after = engine.calls
+        after = engine.log.total
         if after == before:
             raise RuntimeError(f"{schedule.name} step {k} made no oracle call")
         k += 1
@@ -332,13 +333,13 @@ def _check_run(schedule: Schedule, instance, iterations: int):
 
 def run(schedule: Schedule, instance, iterations: int, seed: int = 0) -> RunRecord:
     """Execute `iterations` oracle calls and record suboptimality per call;
-    a multi-call step repeats the previous error until it completes."""
+    a multi-call step repeats the previous error until it completes.  The
+    record's `log` is the engine's."""
     _check_run(schedule, instance, iterations)
     engine = _make_engine(instance, seed)
-    log = CallLog()
     errors = np.empty(iterations + 1)
-    _drive(schedule, engine, partial(answer, engine, log=log), instance.suboptimality, errors)
-    return RunRecord(schedule.name, seed, errors, log)
+    _drive(schedule, engine, partial(answer, engine), instance.suboptimality, errors)
+    return RunRecord(schedule.name, seed, errors, engine.log)
 
 
 def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0) -> bool:
@@ -387,7 +388,7 @@ class _Batched:
     calls the oracle.  Every grid point then reads the same draw for seed s,
     so a draw is one seed row tiled G times.  Without replacement, the
     components come in consecutive random permutations of range(n).
-    `calls` counts oracle calls per row.
+    `log` counts oracle calls per row.
 
     Per-row lookups read flat offsets.  Entry (row, j) of a C-contiguous
     array of shape (rows, m, ...) is entry row*m + j of its (rows*m, ...)
@@ -410,7 +411,7 @@ class _Batched:
         self.grid, self.seeds = len(instances), seeds
         self.opt = np.array([inst.optimal_value for inst in instances])
         self.rows = np.arange(self.grid * seeds)
-        self.calls = 0
+        self.log = CallLog()
         self._iterations, self._replacement = iterations, replacement
         self._streams = None
         self._next = 0
@@ -515,7 +516,7 @@ class BatchedEngine(_Batched):
 
     def mean_grad(self, W, ask):
         # one gemm per grid point, as a run over that point's seeds alone
-        self.calls += self.n
+        self.log.note("FirstOrder", self.n)
         G = self._by_grid(W) @ self.A.transpose(0, 2, 1) - self.qbar[:, None, :]
         return G.reshape(W.shape)
 

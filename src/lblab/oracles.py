@@ -8,11 +8,11 @@ Three oracle families are supported:
   dual coordinate.
 
 `answer` is the only code that answers a query, and it counts each call
-once, in `engine.calls`, on every engine; the batched quadratic engine's
-`mean_grad`, which skips it, adds its n calls itself.  Its procedures are
-written against a tiny engine protocol (`comp_grad`, `diag`, `grad_entry`,
-`add_to_entry`), and the arithmetic behind the first three is written once
-per structure:
+once, by query kind, in the `CallLog` every engine holds as `engine.log`;
+the batched quadratic engine's `mean_grad`, which skips it, adds its n
+first-order calls itself.  Its procedures are written against a tiny
+engine protocol (`comp_grad`, `diag`, `grad_entry`, `add_to_entry`), and
+the arithmetic behind the first three is written once per structure:
 `ComponentOracle` for finite sums of (Q, q) components, whose matrix
 structures live in `instances`, and `PairOracle` for the dual family's 2x2
 pair blocks.  The float engines here, the polynomial engines in `trace`
@@ -30,7 +30,6 @@ explicit matvecs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,17 +62,15 @@ class DualExactCD:
 
 
 class CallLog:
-    """Oracle calls counted per query kind."""
+    """Oracle calls counted per query kind (its class name), and in total."""
 
     def __init__(self):
-        self.variant_counts = Counter()
+        self.variant_counts = {}
+        self.total = 0
 
-    @property
-    def total(self) -> int:
-        return sum(self.variant_counts.values())
-
-    def note(self, query):
-        self.variant_counts[type(query).__name__] += 1
+    def note(self, kind, count=1):
+        self.variant_counts[kind] = self.variant_counts.get(kind, 0) + count
+        self.total += count
 
 
 class SingleRunEngine:
@@ -81,15 +78,15 @@ class SingleRunEngine:
     point: a float vector here, a PolyVector in `trace`.
 
     `origin` is the zero point, of length `d`, and `n` the component
-    count; the run's driver sets `rng`, the stream `draw` reads.  `calls`
-    counts the oracle calls `answer` has made on this engine.
+    count; whoever drives the run sets `rng`, the stream `draw` reads.
+    `log` counts the oracle calls `answer` has made on this engine.
     """
 
     rng = None
 
     def __init__(self, n, origin):
         self.n, self.d, self._origin = n, len(origin), origin
-        self.calls = 0
+        self.log = CallLog()
 
     def zero(self):
         return self._origin.copy()
@@ -214,7 +211,7 @@ def _answer_dual(engine, alpha, q):
                             engine.diag(q.j))
 
 
-def answer(engine, point, query, log: CallLog = None):
+def answer(engine, point, query):
     if isinstance(query, FirstOrder):
         out = _answer_first_order(engine, point, query)
     elif isinstance(query, SteepestCD):
@@ -223,7 +220,5 @@ def answer(engine, point, query, log: CallLog = None):
         out = _answer_dual(engine, point, query)
     else:
         raise TypeError(f"unknown query {query!r}")
-    engine.calls += 1
-    if log is not None:
-        log.note(query)
+    engine.log.note(type(query).__name__)
     return out

@@ -12,9 +12,9 @@ spurious terms and break the degree assertions made by the symbolic tracer.
 elementwise arithmetic and the matrix structures of `instances` run on
 polynomial iterates exactly as on float ones.
 
-Also provides second-kind Chebyshev polynomials, their zeros, and the signed
-moments of sgn(U_k), which are the orthogonality workhorse behind the
-uniform-norm lower bounds.
+Also provides second-kind Chebyshev polynomials and the signed moments of
+sgn(U_k), which are the orthogonality workhorse behind the uniform-norm
+lower bounds.
 """
 
 from __future__ import annotations
@@ -315,11 +315,6 @@ class PolyVector(np.ndarray):
         # the float reciprocal, coerced like every other constant
         return self * (1.0 / r)
 
-    def with_entry(self, i, p) -> "PolyVector":
-        out = self.copy()
-        out[i] = p
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Chebyshev polynomials of the second kind
@@ -337,13 +332,6 @@ def chebyshev_U(k: int) -> UniPoly:
     for _ in range(k - 1):
         u_prev, u = u, two_eta * u - u_prev
     return u
-
-
-def chebyshev_U_zeros(k: int) -> list:
-    """Zeros of U_k: cos(j*pi/(k+1)), j = 1..k, strictly decreasing in (-1, 1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return [math.cos(j * math.pi / (k + 1)) for j in range(1, k + 1)]
 
 
 def sgn_chebyshev_moment(j: int, k: int) -> float:

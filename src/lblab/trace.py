@@ -32,7 +32,7 @@ import numpy as np
 from .instances import fsm_components, smooth_components, toy_components
 from .oracles import ComponentOracle, PairOracle, SingleRunEngine, answer
 from .polynomials import MultiPoly, PolyVector, UniPoly
-from .optimizers import Schedule, _drive, check_family, make_rng
+from .optimizers import Schedule, _drive, check_family, make_optimizer, make_rng
 
 FAMILIES = ("toy", "fsm", "smooth", "rlm")
 
@@ -124,42 +124,19 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
 
     def ask(point, query):
         out = answer(engine, point, query)
-        _check_budget(out, family, engine.calls)
+        _check_budget(out, family, engine.log.total)
         return out
 
-    state = _drive(schedule, engine, ask, lambda w: _check_budget(w, family, engine.calls),
+    state = _drive(schedule, engine, ask, lambda w: _check_budget(w, family, engine.log.total),
                    np.empty(k + 1, object))
     return PolyVector(state["w"])
 
 
 def trace_gd_toy(k: int, L) -> UniPoly:
     """Gradient descent with step 1/L on f_eta(w) = eta w^2/2 - w, traced
-    symbolically from w = 0: w <- (1 - eta/L) w + 1/L, k times."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    Lf = Fraction(L)
-    one_minus = UniPoly([1, -1 / Lf])
-    w = UniPoly()
-    invL = UniPoly([1 / Lf])
-    for _ in range(k):
-        w = one_minus * w + invL
-    return w
-
-
-def trace_sup_error(tracevec: PolyVector, grid, minimizer) -> float:
-    """max over the grid of || trace(point) - minimizer(point) ||.
-
-    Grid entries are parameter tuples (one scalar per indeterminate), and
-    `minimizer` maps one to the instance's minimizer."""
-    grid = list(grid)
-    if not grid:
-        raise ValueError("empty grid")
-    worst = 0.0
-    for point in grid:
-        point = tuple(np.atleast_1d(point))
-        vals = np.array([float(e(point)) for e in tracevec.entries])
-        worst = max(worst, float(np.linalg.norm(vals - minimizer(point))))
-    return worst
+    from w = 0 with the step held exactly: w <- (1 - eta/L) w + 1/L, k times."""
+    p = trace_oblivious(make_optimizer("gd", L=L, step=1 / Fraction(L)), "toy", k, L=L)[0]
+    return UniPoly([p.terms.get((i,), 0) for i in range(k + 1)])
 
 
 def fig2_data(L: float, mu: float, k_max: int = 4, grid: int = 1025):
@@ -169,7 +146,6 @@ def fig2_data(L: float, mu: float, k_max: int = 4, grid: int = 1025):
     Returns (header, rows): header is
     eta, gd_k1..gd_k{k_max}, agd_k1..agd_k{k_max}, target.
     """
-    from .optimizers import make_optimizer
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     gd_polys = [trace_gd_toy(k, L) for k in range(1, k_max + 1)]

@@ -85,6 +85,7 @@ def test_errors_indexed_by_oracle_calls():
             assert errs[c] == errs[c - 1]
     assert errs[8] < errs[0]
     assert rec.log.total == 24
+    assert rec.log.variant_counts == {"FirstOrder": 24}
 
 
 def test_incompatible_oracle_family_rejected():

@@ -7,9 +7,8 @@ from lblab.instances import (DenseSym, QuadraticInstance, fsm_instance,
                              rlm_instance, toy_instance)
 from lblab.optimizers import BatchedDualEngine, BatchedEngine
 from lblab.trace import _sym_engine
-from lblab.oracles import (CallLog, DualExactCD, DualGradStep,
-                           DualNumericEngine, FirstOrder, NumericEngine,
-                           SteepestCD, answer)
+from lblab.oracles import (DualExactCD, DualGradStep, DualNumericEngine,
+                           FirstOrder, NumericEngine, SteepestCD, answer)
 
 L, MU, R = 100.0, 1.0, 1.0
 
@@ -97,15 +96,12 @@ def test_dual_exact_cd_from_zero_diagonal_case():
 
 def test_call_log_accounting():
     eng = fsm_engine()
-    log = CallLog()
     w = np.zeros(4)
     for j in (0, 0, 3):
-        w = answer(eng, w, FirstOrder(a=-0.001, b=1.0, j=j), log)
-    w = answer(eng, w, SteepestCD(i=0, j=1), log)
-    assert log.total == 4
-    assert log.variant_counts["FirstOrder"] == 3
-    assert log.variant_counts["SteepestCD"] == 1
-    assert eng.calls == 4
+        w = answer(eng, w, FirstOrder(a=-0.001, b=1.0, j=j))
+    w = answer(eng, w, SteepestCD(i=0, j=1))
+    assert eng.log.total == 4
+    assert eng.log.variant_counts == {"FirstOrder": 3, "SteepestCD": 1}
 
 
 def test_answer_counts_one_call_per_query_on_every_engine():
@@ -122,13 +118,16 @@ def test_answer_counts_one_call_per_query_on_every_engine():
         (BatchedDualEngine([dual], 3, 1), np.zeros((3, 4)), DualGradStep(0.5, rows)),
     ]
     for engine, point, query in cases:
-        assert engine.calls == 0
+        assert engine.log.total == 0
         for calls in (1, 2):
             answer(engine, point, query)
-            assert engine.calls == calls, type(engine).__name__
+            log, name = engine.log, type(engine).__name__
+            assert log.total == sum(log.variant_counts.values()) == calls, name
+            assert log.variant_counts == {type(query).__name__: calls}, name
     # the batched mean gradient is n first-order calls answered at once
     batched.mean_grad(np.zeros((3, 4)), None)
-    assert batched.calls == 2 + fsm_inst.n
+    assert batched.log.total == sum(batched.log.variant_counts.values()) == 2 + fsm_inst.n
+    assert batched.log.variant_counts == {"SteepestCD": 2, "FirstOrder": fsm_inst.n}
 
 
 def test_unknown_query_rejected():

@@ -1,11 +1,12 @@
 """The benchmark driver still runs against the package.
 
 `perfbench/run.py` reads `harness.worker_count`, `harness.write_csv` (and
-the text it returns), `optimizers.run(...).log.total`, `batched_curves`'
-positional `iterations, seeds`, `bestapprox.linprog`, the two scalar
-engine classes and the MultiPoly/UniPoly arithmetic; one traced pass of the
-scalar and of the symbolic workload reaches all of them and checks every
-output.  `-B` keeps `perfbench/` free of bytecode.
+the text it returns), `optimizers.run(...).log.total` (the call count of
+the run's engine), `batched_curves`' positional `iterations, seeds`,
+`bestapprox.linprog`, the two scalar engine classes and the
+MultiPoly/UniPoly arithmetic; one traced pass of the scalar and of the
+symbolic workload reaches all of them and checks every output.  `-B` keeps
+`perfbench/` free of bytecode.
 """
 
 import json
@@ -28,7 +29,7 @@ def test_perfbench_traced_pass_is_correct(workload):
     assert last["correct"] is True, proc.stderr
     metrics = last["metrics"]
     if workload == "scalar":
-        # every scalar run's CallLog total against the answers the tracer saw
+        # every scalar run's engine call count against the answers the tracer saw
         assert (metrics["optimizers.run_calls"]["value"]
                 == metrics["oracles.answer_us.numeric.n"]["value"] > 0)
     else:

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lblab.polynomials import (NEG_INF, MultiPoly, PolyVector, UniPoly,
-                               chebyshev_U, chebyshev_U_zeros, poly_from_json,
-                               poly_to_json, sgn_chebyshev_moment)
+from lblab.polynomials import (NEG_INF, MultiPoly, PolyVector, UniPoly, chebyshev_U,
+                               poly_from_json, poly_to_json, sgn_chebyshev_moment)
 
 
 raw_terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2),
@@ -123,17 +122,11 @@ def test_chebyshev_matches_sine_form():
 
 
 def test_chebyshev_zeros():
-    assert chebyshev_U_zeros(0) == []
-    assert chebyshev_U_zeros(1) == pytest.approx([0.0])
-    assert chebyshev_U_zeros(2) == pytest.approx([0.5, -0.5])
-    z3 = chebyshev_U_zeros(3)
-    assert z3 == pytest.approx([math.sqrt(2) / 2, 0.0, -math.sqrt(2) / 2])
-    p3 = chebyshev_U(3)
-    assert all(abs(float(p3(z))) < 1e-12 for z in z3)
+    # U_k vanishes at cos(j pi/(k+1)), j = 1..k: the breakpoints of sgn(U_k)
     for k in range(1, 11):
-        zs = chebyshev_U_zeros(k)
-        assert all(x > y for x, y in zip(zs, zs[1:]))
-        assert all(-1 < z < 1 for z in zs)
+        p = chebyshev_U(k)
+        for j in range(1, k + 1):
+            assert abs(float(p(math.cos(j * math.pi / (k + 1))))) < 1e-12, (k, j)
 
 
 def test_sgn_orthogonality():

@@ -3,18 +3,20 @@ import hashlib
 import io
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lblab import cli
 from lblab.bounds import maxnorm_lb
-from lblab.instances import fsm_instance, toy_instance
-from lblab.optimizers import Schedule, make_optimizer, run
-from lblab.oracles import FirstOrder
+from lblab.instances import fsm_instance, rlm_instance, smooth_instance, toy_instance
+from lblab.optimizers import Schedule, _drive, _make_engine, make_optimizer, run
+from lblab.oracles import FirstOrder, answer
 from lblab.polynomials import MultiPoly
-from lblab.trace import (DegreeViolation, _sym_engine, fig2_data, trace_gd_toy,
-                         trace_oblivious, trace_sup_error)
+from lblab.trace import DegreeViolation, _sym_engine, fig2_data, trace_gd_toy, trace_oblivious
 
 
 def test_gd_toy_closed_form_coefficients():
@@ -58,16 +60,52 @@ def test_trace_float_consistency():
         assert sub == pytest.approx(rec.errors[k], abs=1e-12)
 
 
-def test_trace_sup_error_dominates_lower_bound():
-    L, mu = 4.0, 1.0
-    sched = make_optimizer("gd", L=L, mu=mu)
-    for k in range(5):
-        vec = trace_oblivious(sched, "toy", k, L=L, mu=mu)
-        sup = trace_sup_error(vec, np.linspace(mu, L, 513),
-                              lambda p: toy_instance(p[0], mu, L).minimizer)
-        assert sup >= maxnorm_lb(mu, L, 0.0, k) - 1e-9
-    # spot check: k = 4 lower bound is 3/8 * (1/3)^4
-    assert maxnorm_lb(1, 4, 0, 4) == pytest.approx(3 / 8 / 81)
+# Every (oblivious schedule, family) pair that `trace` accepts: the exact
+# coordinate step divides by the toy and smooth parameters, so the cd
+# schedules trace on fsm only, and sdca is the one dual schedule.
+PRIMAL = ("gd", "agd", "hb", "sgd", "sag", "saga", "svrg", "sdca_primal")
+TRACEABLE = ([(name, "fsm") for name in PRIMAL + ("cd_cyclic", "cd_random")]
+             + [(name, family) for family in ("toy", "smooth") for name in PRIMAL]
+             + [("sdca", "rlm")])
+
+
+@pytest.mark.parametrize("name,family", TRACEABLE)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_traced_polynomial_equals_numeric_iterate(name, family, data):
+    # the traced iterate, evaluated at the instance's parameters (eta per
+    # component, or sin psi per pair), is the numeric engine's tracked point
+    draw = data.draw
+    L, mu, R = draw(st.floats(2.0, 100.0)), 1.0, draw(st.floats(0.5, 2.0))
+    k, seed = draw(st.integers(0, 12)), draw(st.integers(0, 2 ** 32))
+    step = draw(st.none() | st.floats(0.05 / L, 1 / L)) if name in PRIMAL else None
+    epoch = draw(st.none() | st.integers(1, 6)) if name == "svrg" else None
+    sched = make_optimizer(name, L=L, mu=mu, step=step, epoch=epoch)
+    n, d, lam = 1, 1, 0.01
+    if family == "toy":
+        point = [draw(st.floats(mu, L))]
+        instance = toy_instance(point[0], mu, L)
+    elif family == "smooth":
+        d = draw(st.integers(1, 4))
+        point = [draw(st.floats(1e-3, L))]
+        instance = smooth_instance(point[0], R, d, L)
+    elif family == "fsm":
+        n, d = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        point = draw(st.lists(st.floats(-(L - mu) / 2, (L - mu) / 2), min_size=n, max_size=n))
+        instance = fsm_instance(point, L, mu, R, d)
+    else:
+        n, lam = draw(st.sampled_from([2, 4, 6, 8])), draw(st.floats(0.01, 1.0))
+        psis = draw(st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=n // 2,
+                             max_size=n // 2))
+        instance = rlm_instance(psis, lam, n)
+        point = np.sin(instance.psis).tolist()
+    vec = trace_oblivious(sched, family, k, seed=seed, n=n, d=d, L=L, mu=mu, R=R, lam=lam)
+    # exact evaluation: in floats, the terms' cancellation costs more than 1e-12
+    traced = np.array([float(e(tuple(map(Fraction, point)))) for e in vec])
+    engine = _make_engine(instance, seed)
+    numeric = _drive(sched, engine, partial(answer, engine), lambda w: 0.0,
+                     np.empty(k + 1))["w"]
+    assert np.linalg.norm(traced - numeric) <= 1e-12 * np.linalg.norm(numeric)
 
 
 def test_stochastic_trace_respects_budget():
@@ -132,7 +170,9 @@ def test_trace_catches_degree_cheating():
 
     def stp(state, k, ask, engine):
         a = ask(state["w"], FirstOrder(-0.25, 1.0, 0))
-        state["w"] = a.with_entry(0, a.entries[0] * a.entries[0])
+        w = a.copy()
+        w[0] = a[0] * a[0]
+        state["w"] = w
 
     cheat = Schedule("cheat", True, init, stp, stochastic=False)
     with pytest.raises(DegreeViolation):
@@ -143,15 +183,17 @@ def test_fig2_agd_dominates_gd_at_k4():
     header, rows = fig2_data(4.0, 1.0, k_max=4, grid=257)
     arr = np.asarray(rows)
     tgt = arr[:, header.index("target")]
-    gd4 = np.max(np.abs(arr[:, header.index("gd_k4")] - tgt))
-    agd4 = np.max(np.abs(arr[:, header.index("agd_k4")] - tgt))
-    assert agd4 <= gd4
 
+    def sup_error(name):
+        return np.max(np.abs(arr[:, header.index(name)] - tgt))
 
-def test_trace_sup_error_validates_grid():
-    vec = trace_oblivious(make_optimizer("gd", L=4.0, mu=1.0), "toy", 2, L=4.0, mu=1.0)
-    with pytest.raises(ValueError):
-        trace_sup_error(vec, [], lambda p: toy_instance(p[0], 1.0, 4.0).minimizer)
+    assert sup_error("agd_k4") <= sup_error("gd_k4")
+    # both methods are oblivious, so neither beats the polynomial lower bound
+    for k in range(1, 5):
+        for name in ("gd", "agd"):
+            assert sup_error(f"{name}_k{k}") >= maxnorm_lb(1.0, 4.0, 0.0, k), (name, k)
+    # spot check: k = 4 lower bound is 3/8 * (1/3)^4
+    assert maxnorm_lb(1, 4, 0, 4) == pytest.approx(3 / 8 / 81)
 
 
 # sha256 of `lblab trace --opt <opt> <family flags> --k 7 --seed 1 --kappa 7`:
