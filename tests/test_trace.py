@@ -46,6 +46,21 @@ def test_trace_zero_calls():
     assert vec[0].total_degree == float("-inf")
 
 
+def test_trace_sup_error_dominates_lower_bound():
+    # an oblivious method's iterate is a polynomial in eta, so its worst
+    # error over [mu, L] is at least the polynomial lower bound
+    L, mu = 4.0, 1.0
+    etas = np.linspace(mu, L, 513)
+    for name in ("gd", "agd"):
+        sched = make_optimizer(name, L=L, mu=mu)
+        for k in range(5):
+            poly = trace_oblivious(sched, "toy", k, L=L, mu=mu)[0]
+            sup = max(abs(float(poly((eta,))) - 1 / eta) for eta in etas)
+            assert sup >= maxnorm_lb(mu, L, 0.0, k) - 1e-9, (name, k)
+    # spot check: k = 4 lower bound is 3/8 * (1/3)^4
+    assert maxnorm_lb(1, 4, 0, 4) == pytest.approx(3 / 8 / 81)
+
+
 def test_trace_float_consistency():
     # evaluating the symbolic iterate at a concrete eta reproduces the
     # numeric run's suboptimality
@@ -188,12 +203,6 @@ def test_fig2_agd_dominates_gd_at_k4():
         return np.max(np.abs(arr[:, header.index(name)] - tgt))
 
     assert sup_error("agd_k4") <= sup_error("gd_k4")
-    # both methods are oblivious, so neither beats the polynomial lower bound
-    for k in range(1, 5):
-        for name in ("gd", "agd"):
-            assert sup_error(f"{name}_k{k}") >= maxnorm_lb(1.0, 4.0, 0.0, k), (name, k)
-    # spot check: k = 4 lower bound is 3/8 * (1/3)^4
-    assert maxnorm_lb(1, 4, 0, 4) == pytest.approx(3 / 8 / 81)
 
 
 # sha256 of `lblab trace --opt <opt> <family flags> --k 7 --seed 1 --kappa 7`:
