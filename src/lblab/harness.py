@@ -60,11 +60,14 @@ class ExperimentConfig:
 
 def load_config(path=None, kappa=None, **overrides) -> ExperimentConfig:
     """Defaults, then the config file, then `overrides`; a given `kappa`
-    sets L = kappa * mu last."""
+    sets L = kappa * mu last.  L, mu, R and lam must be finite."""
     cfg = ExperimentConfig()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as e:  # a line outside any [section], say
+            raise ConfigError(f"bad config file: {' '.join(str(e).split())}") from e
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():
@@ -75,6 +78,9 @@ def load_config(path=None, kappa=None, **overrides) -> ExperimentConfig:
             _apply(cfg, key, val, where="command line")
     if kappa is not None:
         cfg.L = kappa * cfg.mu
+    for key in ("L", "mu", "R", "lam"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)!r}")
     if not cfg.L > cfg.mu > 0:
         raise ConfigError(f"need L > mu > 0 (kappa > 1), got L={cfg.L!r}, mu={cfg.mu!r}")
     for key in ("n", "d", "grid_points", "seeds"):

@@ -218,7 +218,8 @@ def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstan
     comps = [shared.setdefault(Q.e.hex(), (Q, q)) for Q, q in comps]
     inst = _finish(comps, mu, L)
     closed = fsm_minimizer(etas, L, mu, R, d)
-    assert np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed))
+    if not np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed)):
+        raise AssertionError("the solved minimizer disagrees with the closed form")
     return inst
 
 
@@ -239,7 +240,8 @@ def fsm_minimizer_separation(n: int, kappa: float, R: float, j: int = 0) -> floa
     if not 0 <= j < n:
         raise ValueError("component index out of range")
     sep = 2 * R / abs(n * (kappa + 1) / (kappa - 1) - n + 2)
-    assert sep >= 2 * R / (n + 2) - 1e-12
+    if not sep >= 2 * R / (n + 2) - 1e-12:
+        raise AssertionError(f"separation {sep!r} is below 2R/(n+2)")
     return sep
 
 

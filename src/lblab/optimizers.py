@@ -20,9 +20,17 @@ counts its oracle calls by query kind and in total.  `run`,
 `batched_curves`, `audit_oblivious` and `trace_oblivious` share one loop,
 `_drive`, that measures the tracked point per oracle call (call 0 =
 initialization): suboptimality, the x-axis the lower-bound envelopes are
-stated in, or the tracer's degree budget.  `expected_error_curve` runs a
-stochastic schedule once over its whole parameter grid and averages each
-grid point's curves over seeds.
+stated in, or the tracer's degree budget.
+
+There are two batched quadratic engines.  `BatchedEngine` serves the
+stochastic schedules with Monte-Carlo kernels: a gemm mean gradient and a
+suboptimality from each grid point's mean matrix, whose bits differ from
+`run`'s in the last places.  `ExactBatchedEngine` serves the deterministic
+ones (gd, agd, hb, cd_cyclic) with the scalar engine's own arithmetic, so
+each of its rows equals `run` on its instance bit for bit.
+`expected_error_curve` runs every oblivious schedule once over its whole
+parameter grid, averaging a stochastic one's curves over seeds; only the
+non-oblivious L-BFGS runs grid point by grid point.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 
 from .instances import Block2Diag, RlmInstance
 from .oracles import (CallLog, DualExactCD, DualNumericEngine, FirstOrder,
-                      NumericEngine, PairOracle, SteepestCD, answer)
+                      NumericEngine, PairOracle, SingleRunEngine, SteepestCD, answer)
 
 OPTIMIZER_NAMES = ("gd", "agd", "hb", "sgd", "sag", "saga", "svrg", "sdca",
                    "sdca_primal", "cd_cyclic", "cd_random", "lbfgs")
@@ -465,8 +473,17 @@ class _Batched:
         return out
 
 
-class BatchedEngine(_Batched):
-    """QuadraticInstances over a seed batch each."""
+class _BatchedQuadratic(_Batched):
+    """The component oracle of QuadraticInstances over a seed batch each.
+
+    Every component is one entry per row: in the block form (shared h, tail
+    and q, as in the fsm family) its off-diagonal entry `e`, and otherwise
+    its dense (Q, q), component j of grid point g being entry g*n + j of
+    `Qs` and `qs`.  Each row rounds as the scalar engine does: the block
+    form runs `Block2Diag.matvec` row by row, and the dense form's matmuls
+    run the scalar engine's BLAS kernels (gemv for Q w, dot for a row of Q
+    times w) row by row.
+    """
 
     def __init__(self, instances, seeds, iterations, replacement=True):
         super().__init__(instances, lambda inst: inst.d, seeds, iterations, replacement)
@@ -483,24 +500,18 @@ class BatchedEngine(_Batched):
             self.Qs = np.stack([Q.dense() for inst in instances for Q, _ in inst.components])
             self.qs = np.stack([q for inst in instances for _, q in inst.components])
             self._comp_of_row = self.rows // seeds * self.n
-        self.A = np.stack([inst.mean_matrix() for inst in instances])
-        self.qbar = np.stack([inst.mean_q() for inst in instances])
-        # the (i, j) entries of A nonzero at some grid point, in (i, j) order,
-        # with A_ij per row
-        self._quad_terms = [(i, j, self.per_row(self.A[:, i, j]))
-                            for i, j in np.argwhere(self.A.any(axis=0))]
 
-    def _by_grid(self, W):
-        return W.reshape(self.grid, self.seeds, self.d)
+    def _comp_matvec(self, jv, W):
+        """Q_j w per row, for component jv of the row."""
+        if self.block:
+            return Block2Diag(self.d, self.h, self.e.take(self._row_n + jv), self.tail).matvec(W)
+        return (self.Qs.take(self._comp_of_row + jv, axis=0) @ W[:, :, None])[:, :, 0]
+
+    def _comp_q(self, jv):
+        return self.q if self.block else self.qs.take(self._comp_of_row + jv, axis=0)
 
     def comp_grad(self, jv, W):
-        if self.block:
-            e = self.e.take(self._row_n + jv)
-            return Block2Diag(self.d, self.h, e, self.tail).matvec(W) - self.q
-        # matmul runs the scalar engine's BLAS kernels (gemv here, dot in
-        # grad_entry) row by row, so each row rounds as the scalar run does
-        c = self._comp_of_row + jv
-        return (self.Qs.take(c, axis=0) @ W[:, :, None])[:, :, 0] - self.qs.take(c, axis=0)
+        return self._comp_matvec(jv, W) - self._comp_q(jv)
 
     def diag(self, jv, iv):
         if self.block:
@@ -513,6 +524,24 @@ class BatchedEngine(_Batched):
         c = (self._comp_of_row + jv) * self.d + iv
         return ((self.Qs.reshape(-1, self.d).take(c, axis=0)[:, None, :] @ W[:, :, None])[:, 0, 0]
                 - self.qs.take(c))
+
+
+class BatchedEngine(_BatchedQuadratic):
+    """QuadraticInstances over a seed batch each, with the Monte-Carlo
+    kernels: the mean gradient as one gemm per grid point, and the
+    suboptimality from each grid point's mean matrix."""
+
+    def __init__(self, instances, seeds, iterations, replacement=True):
+        super().__init__(instances, seeds, iterations, replacement)
+        self.A = np.stack([inst.mean_matrix() for inst in instances])
+        self.qbar = np.stack([inst.mean_q() for inst in instances])
+        # the (i, j) entries of A nonzero at some grid point, in (i, j) order,
+        # with A_ij per row
+        self._quad_terms = [(i, j, self.per_row(self.A[:, i, j]))
+                            for i, j in np.argwhere(self.A.any(axis=0))]
+
+    def _by_grid(self, W):
+        return W.reshape(self.grid, self.seeds, self.d)
 
     def mean_grad(self, W, ask):
         # one gemm per grid point, as a run over that point's seeds alone
@@ -533,6 +562,55 @@ class BatchedEngine(_Batched):
             quad += (W[:, i] * a) * W[:, j]
         lin = (self._by_grid(W) @ self.qbar[:, :, None]).ravel()
         return self.less_opt(0.5 * quad - lin)
+
+
+def _row_dots(X, Y):
+    """Per-row x @ y.  The stacked matmul calls BLAS dot once per row, the
+    kernel that `x @ y` calls on two vectors, so each row has its bits."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+class ExactBatchedEngine(_BatchedQuadratic):
+    """QuadraticInstances over a seed batch each, with the scalar engine's
+    arithmetic: every row's floats are those of `run` on its instance.
+
+    `mean_grad` is `SingleRunEngine.mean_grad`, n first-order answers added
+    in component order, and `suboptimality` is `QuadraticInstance.value`
+    row by row.  The deterministic schedules run their whole grid on it.
+    Block components must share h, tail and q: the dense form multiplies
+    a `Block2Diag` as gemv does, not as its own `matvec`.
+    """
+
+    mean_grad = SingleRunEngine.mean_grad
+
+    def __init__(self, instances, seeds, iterations, replacement=True):
+        super().__init__(instances, seeds, iterations, replacement)
+        if not self.block and any(isinstance(Q, Block2Diag)
+                                  for inst in instances for Q, _ in inst.components):
+            raise ValueError("an exact batch of Block2Diag components needs one h, tail and q")
+        # component j's term slot: that of the first component whose entries
+        # are bit-identical to j's in every row, as `QuadraticInstance._terms`
+        # shares one term between components that are the same objects
+        first, self._slot = {}, []
+        for j in range(self.n):
+            if self.block:
+                key = self.e[:, j].tobytes()
+            else:
+                c = self._comp_of_row + j
+                key = (self.Qs[c].tobytes(), self.qs[c].tobytes())
+            self._slot.append(first.setdefault(key, j))
+
+    def suboptimality(self, W):
+        """Per-row `QuadraticInstance.suboptimality`: per component
+        0.5*(w @ Q_j w) - q_j @ w, the n terms added in component order into
+        +0, divided by n, less the optimal value."""
+        terms, tot = {}, np.zeros(len(W))
+        for j in self._slot:
+            if j not in terms:
+                terms[j] = (0.5 * _row_dots(W, self._comp_matvec(j, W))
+                            - _row_dots(self._comp_q(j), W))
+            tot += terms[j]
+        return self.less_opt(tot / self.n)
 
 
 class BatchedDualEngine(PairOracle, _Batched):
@@ -561,15 +639,25 @@ def batched_curves(schedule: Schedule, instances, iterations: int, seeds: int,
     schedule's own step closures run once over a batched engine, row
     g*seeds + s being the run `run(..., seed=s)` makes on instances[g].
 
-    With `replacement=False` every component draw comes from consecutive
-    random permutations of the components instead.
+    Every oblivious schedule runs here.  A deterministic one runs on
+    `ExactBatchedEngine`, so each row equals that run bit for bit; the
+    stochastic ones run on the Monte-Carlo kernels of `BatchedEngine` (or
+    on `BatchedDualEngine`).  L-BFGS reads its answers as floats, so it
+    runs on the scalar engine alone.  With `replacement=False` every
+    component draw comes from consecutive random permutations of the
+    components instead.
     """
-    if not schedule.stochastic:
-        raise ValueError(f"{schedule.name} is deterministic; it runs on the scalar engine")
+    if not schedule.oblivious:
+        raise ValueError(f"{schedule.name} reads its answers; it runs on the scalar engine")
     instances = list(instances)
     dual = any(isinstance(inst, RlmInstance) for inst in instances)
     check_family(schedule, dual)
-    kind = BatchedDualEngine if dual else BatchedEngine
+    if dual:
+        kind = BatchedDualEngine
+    elif schedule.stochastic:
+        kind = BatchedEngine
+    else:
+        kind = ExactBatchedEngine
     engine = kind(instances, seeds, iterations, replacement)
     errors = np.empty((len(engine.rows), iterations + 1))
     _drive(schedule, engine, partial(answer, engine), engine.suboptimality, errors)
@@ -592,9 +680,11 @@ def expected_error_curve(schedule: Schedule, instance_factory, grid, iterations:
     """Monte-Carlo mean suboptimality per oracle call for each grid parameter,
     then the max over the grid per call index.
 
-    instance_factory maps a grid parameter to an instance.  A stochastic
-    schedule runs once over the whole grid on a batched engine; a
-    deterministic one collapses to a single seed per grid point.
+    instance_factory maps a grid parameter to an instance.  An oblivious
+    schedule runs once over the whole grid on a batched engine, a
+    deterministic one with a single seed per grid point (its curves are
+    `run`'s, bit for bit); only the non-oblivious L-BFGS runs grid point
+    by grid point on the scalar engine.
     """
     grid = list(grid)
     if not grid:
@@ -602,19 +692,20 @@ def expected_error_curve(schedule: Schedule, instance_factory, grid, iterations:
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     insts = [instance_factory(param) for param in grid]
-    means = np.empty((len(grid), iterations + 1))
     errs = np.zeros((len(grid), iterations + 1))
-    if schedule.stochastic:
+    if not schedule.oblivious:
+        means = np.array([run(schedule, inst, iterations, seed=0).errors for inst in insts])
+    elif not schedule.stochastic:
+        means = batched_curves(schedule, insts, iterations, 1)
+    else:
         curves = batched_curves(schedule, insts, iterations, seeds)
+        means = np.empty((len(grid), iterations + 1))
         # per grid point, the (seeds, iterations+1) reductions of a run over
         # that point alone
         for gi, block in enumerate(curves.reshape(len(grid), seeds, iterations + 1)):
             means[gi] = block.mean(axis=0)
             if seeds > 1:
                 errs[gi] = block.std(axis=0, ddof=1) / math.sqrt(seeds)
-    else:
-        for gi, inst in enumerate(insts):
-            means[gi] = run(schedule, inst, iterations, seed=0).errors
     worst_idx = np.argmax(means, axis=0)
     cols = np.arange(iterations + 1)
     return WorstCaseCurve(

@@ -9,8 +9,8 @@ Three oracle families are supported:
 
 `answer` is the only code that answers a query, and it counts each call
 once, by query kind, in the `CallLog` every engine holds as `engine.log`;
-the batched quadratic engine's `mean_grad`, which skips it, adds its n
-first-order calls itself.  Its procedures are written against a tiny
+the Monte-Carlo batched quadratic engine's `mean_grad`, a gemm that skips
+it, adds its n first-order calls itself.  Its procedures are written against a tiny
 engine protocol (`comp_grad`, `diag`, `grad_entry`, `add_to_entry`), and
 the arithmetic behind the first three is written once per structure:
 `ComponentOracle` for finite sums of (Q, q) components, whose matrix
@@ -18,7 +18,7 @@ structures live in `instances`, and `PairOracle` for the dual family's 2x2
 pair blocks.  The float engines here, the polynomial engines in `trace`
 (the same structures with exact entries, on PolyVector points) and the
 batched dual engine in `optimizers` all inherit them; the batched quadratic
-engine calls `Block2Diag.matvec` row by row.  Batched points hold one row
+engines call `Block2Diag.matvec` row by row.  Batched points hold one row
 per (grid point, seed) pair, and their component and coordinate indices
 hold one entry per row.  Schedules reach index draws, component tables and
 the mean gradient through the engine as well, and each engine owns its

@@ -57,6 +57,44 @@ def test_load_config_rejects_bad_value(tmp_path):
         load_config("/nonexistent/path.ini")
 
 
+def test_config_file_without_section_header_exits_3(tmp_path, capsys):
+    p = tmp_path / "flat.ini"
+    p.write_text("lbfgs_memory = 1\n")
+    with pytest.raises(ConfigError):
+        load_config(str(p))
+    assert cli.main(["fig1", "--config", str(p)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: bad config file: ")
+
+
+@pytest.mark.parametrize("key", ["L", "mu", "R", "lam"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_load_config_refuses_non_finite_parameters(key, value, tmp_path):
+    p = tmp_path / "exp.ini"
+    p.write_text(f"[experiment]\n{key} = {value}\n")
+    with pytest.raises(ConfigError):
+        load_config(str(p))
+    with pytest.raises(ConfigError):
+        load_config(None, **{key: float(value)})
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--opt", "gd", "--family", "fsm"],
+    ["envelope"],
+    ["sampling-compare"],
+    ["trace", "--opt", "gd"],
+    ["fig2"],
+    ["bounds", "--formula", "maxnorm"],
+])
+def test_cli_infinite_kappa_exits_3_with_one_line(argv, capsys):
+    assert cli.main(argv + ["--kappa", "inf"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: L must be finite, got inf"]
+
+
 @pytest.mark.parametrize("key", ["outdir", "envelope_prefactor"])
 def test_load_config_rejects_retired_keys(key, tmp_path, capsys):
     # both keys were hashed but read by no command; they are gone, and the

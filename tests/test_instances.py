@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,3 +206,25 @@ def test_value_equals_plain_loop(inst):
     for _ in range(25):
         w = rng.normal(size=inst.d)
         assert inst.value(w) == _value_by_plain_loop(inst, w)
+
+
+def test_self_checks_survive_python_O():
+    # the minimizer and separation self-checks are explicit raises, which
+    # `python -O` keeps (it strips bare asserts)
+    code = (
+        "import numpy as np\n"
+        "import lblab.instances as I\n"
+        "I.fsm_minimizer = lambda etas, L, mu, R, d: np.ones(d)  # a wrong closed form\n"
+        "for call in (lambda: I.fsm_minimizer_separation(8, 100.0, -1.0),\n"
+        "             lambda: I.fsm_instance(np.full(4, 3.0), 100.0, 1.0, 1.0, 4)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    assert out.split() == ["raised", "raised"]

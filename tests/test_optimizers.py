@@ -6,11 +6,12 @@ import pytest
 from lblab.instances import (Block2Diag, DenseSym, QuadraticInstance, fsm_instance,
                              nesterov_chain, rlm_instance, toy_instance)
 from lblab.optimizers import (DETERMINISTIC_NAMES, OPTIMIZER_NAMES,
-                              BatchedDualEngine, BatchedEngine, Schedule,
+                              BatchedDualEngine, BatchedEngine,
+                              ExactBatchedEngine, Schedule, _drive,
                               audit_oblivious, batched_curves,
                               expected_error_curve, make_optimizer, make_rng,
                               run)
-from lblab.oracles import FirstOrder
+from lblab.oracles import FirstOrder, answer
 
 L, MU, R = 100.0, 1.0, 1.0
 
@@ -187,8 +188,10 @@ def test_coordinate_descent_reads_dimension_from_engine():
     cd_random = make_optimizer("cd_random")
     curves = batched_curves(cd_random, [toy], 6, 3)
     assert np.allclose(curves, run(cd_random, toy, 6).errors, rtol=1e-9, atol=1e-15)
-    with pytest.raises(ValueError):  # deterministic schedules stay scalar
-        batched_curves(make_optimizer("cd_cyclic"), [toy], 6, 3)
+    # a deterministic schedule's batch repeats the scalar run in every row
+    cd_cyclic = make_optimizer("cd_cyclic")
+    curves = batched_curves(cd_cyclic, [toy], 6, 3)
+    assert all(_same_bits(row, run(cd_cyclic, toy, 6).errors) for row in curves)
 
 
 def test_sdca_decays_in_expectation():
@@ -292,9 +295,16 @@ def test_expected_error_curve_shapes():
         assert np.array_equal(curve.worst_mean, means[worst, cols])
         assert np.array_equal(curve.stderr, errs[worst, cols])
         assert np.array_equal(curve.worst_param, grid[worst])
-    det = make_optimizer("gd", L=L, mu=MU)
-    dcurve = expected_error_curve(det, factory, grid, 30, seeds=10)
-    assert np.all(dcurve.stderr == 0)
+    # a deterministic schedule's curve is the worst of its scalar runs, bit
+    # for bit, and so is L-BFGS's, which runs grid point by grid point
+    for name in DETERMINISTIC_NAMES:
+        det = make_optimizer(name, L=L, mu=MU)
+        dcurve = expected_error_curve(det, factory, grid, 30, seeds=10)
+        runs = np.array([run(det, factory(e), 30).errors for e in grid])
+        worst, cols = np.argmax(runs, axis=0), np.arange(31)
+        assert _same_bits(dcurve.worst_mean, runs[worst, cols]), name
+        assert np.array_equal(dcurve.worst_param, grid[worst])
+        assert np.all(dcurve.stderr == 0)
 
 
 def _dense_grid(n, d, rng):
@@ -344,6 +354,72 @@ def test_grid_batch_rows_equal_single_instance_runs():
                 assert np.array_equal(blocks[g], alone), (sched.name, n, g, replacement)
             fewer = batched_curves(sched, grid[1:], iterations, 2, replacement)
             assert np.array_equal(fewer.reshape(len(grid) - 1, 2, -1), blocks[1:, :2])
+
+
+def _exact_grids():
+    """(label, instance grid) pairs for the exact engine: fsm grids whose
+    components have distinct etas (signed zeros, repeats shared by every
+    grid point or by some) over several n, d and kappa, toy grids and a
+    dense grid."""
+    grids = []
+    for n, d, kappa in ((6, 4, 100.0), (5, 7, 37.0), (3, 2, 4.5), (1, 30, 1000.0)):
+        Lg = kappa * MU
+        half = (Lg - MU) / 2
+        rng = np.random.default_rng(n * d)
+        grid = []
+        for g in range(4):
+            etas = rng.uniform(-half, half, size=n)
+            if n >= 3:
+                etas[:3] = (0.0, -0.0, 0.0)  # component 2 repeats component 0
+            if n >= 5:
+                etas[3] = etas[4] if g % 2 else half  # repeated at half the points
+            grid.append(fsm_instance(etas, Lg, MU, R, d))
+        grids.append((f"fsm n={n} d={d} kappa={kappa}", grid))
+        grids.append((f"fsm n={n} d={d} kappa={kappa} one eta",
+                       [fsm_instance(np.full(n, e), Lg, MU, R, d)
+                        for e in np.linspace(-half, half, 5)]))
+        grids.append((f"toy kappa={kappa}",
+                      [toy_instance(e, MU, Lg) for e in np.linspace(MU, Lg, 6)]))
+    grids.append(("dense d=4", _dense_grid(4, 4, np.random.default_rng(11))))
+    return grids
+
+
+def test_exact_grid_rows_equal_run_bit_for_bit():
+    # every row of the exact batch is `run` on its instance, bit for bit,
+    # with the same oracle call count, at one seed per grid point or more
+    iterations = 60
+    for label, grid in _exact_grids():
+        for name in ("gd", "agd", "hb", "cd_cyclic"):
+            inst0 = grid[0]
+            sched = make_optimizer(name, L=inst0.L, mu=inst0.mu)
+            for seeds in (1, 2):
+                engine = ExactBatchedEngine(grid, seeds, iterations)
+                curves = np.empty((len(grid) * seeds, iterations + 1))
+                _drive(sched, engine, lambda W, q: answer(engine, W, q),
+                       engine.suboptimality, curves)
+                assert _same_bits(curves, batched_curves(sched, grid, iterations, seeds))
+                for g, inst in enumerate(grid):
+                    ref = run(sched, inst, iterations)
+                    assert engine.log.total == ref.log.total, (label, name)
+                    for s in range(seeds):
+                        assert _same_bits(curves[g * seeds + s], ref.errors), (label, name, g)
+
+
+def test_exact_engine_shares_terms_of_bit_identical_components():
+    grid = [fsm_instance([0.0, -0.0, 0.0, e, e], L, MU, R, 4) for e in (3.0, -3.0)]
+    assert ExactBatchedEngine(grid, 1, 5)._slot == [0, 1, 0, 3, 3]
+    grid.append(fsm_instance([0.0, -0.0, 0.0, 1.0, 2.0], L, MU, R, 4))
+    assert ExactBatchedEngine(grid, 1, 5)._slot == [0, 1, 0, 3, 4]
+
+
+def test_batched_curves_refuse_what_the_exact_engine_cannot_run():
+    # L-BFGS reads its answers; block components of unlike h would take the
+    # dense kernels, whose rounding is gemv's rather than Block2Diag's
+    with pytest.raises(ValueError):
+        batched_curves(make_optimizer("lbfgs", L=L, mu=MU), [fsm()], 10, 1)
+    unlike = [fsm_instance(np.full(4, 3.0), Lg, MU, R, 4) for Lg in (L, L / 2)]
+    with pytest.raises(ValueError):
+        batched_curves(make_optimizer("gd", L=L, mu=MU), unlike, 10, 1)
 
 
 def test_grid_batch_of_unlike_blocks_takes_dense_path():
