@@ -6,7 +6,7 @@ function that returns (exit code, text); `main` writes that text in one
 place, to `--out` if given (verify-all has no `--out`) and to stdout
 otherwise, so `--out` writes exactly the bytes the command would print.
 Each subcommand takes only the setting flags its body reads; a config file
-may still set any field.  The worker cap is taken from LBLAB_THREADS.
+may still set any field.
 """
 
 from __future__ import annotations

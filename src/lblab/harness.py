@@ -14,7 +14,6 @@ import hashlib
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Callable, NamedTuple, Optional
 
@@ -108,18 +107,10 @@ def _apply(cfg, key, val, where=""):
 
 
 def worker_count() -> int:
-    """Envelope pool size: LBLAB_THREADS, else 1.  On 2 cores, with the
-    batched engines' per-step kernels as they are now, a second worker made
-    the montecarlo benchmark (the fsm and rlm envelopes and
-    sampling-compare) slower in 6 of 6 paired runs, its median pass from
-    0.68 s to 0.75 s, and raised its peak memory from 51.8 to 59.6 MB.
-    """
-    env = os.environ.get("LBLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"LBLAB_THREADS must be an integer, got {env!r}")
+    """1: the envelope runs its schedules one after another in the calling
+    thread.  Only the environment block of `perfbench/run.py` reads this;
+    ROADMAP item 1's benchmark change deletes it, together with that block's
+    `lblab_threads` field, `TracedPool` and the `harness.pool_*` metrics."""
     return 1
 
 
@@ -262,31 +253,27 @@ def _schedule(cfg: ExperimentConfig, name: str, family: str):
     return sched
 
 
-def _grid_and_factory(cfg: ExperimentConfig):
-    """cfg.family's parameter grid and instance factory.  The instance at the
-    first grid point is built here, so that bad input fails before any run."""
+def _grid_instances(cfg: ExperimentConfig):
+    """cfg.family's parameter grid and one instance per grid point, all built
+    here: bad input fails before any run, and every schedule shares them."""
     if cfg.family not in FAMILIES:
         raise ConfigError(f"family {cfg.family!r} has no instance grid")
     family = FAMILIES[cfg.family]
     grid = family.grid(cfg)
-    family.instance(cfg, grid[0])
-    return grid, lambda param: family.instance(cfg, param)
+    return grid, [family.instance(cfg, param) for param in grid]
 
 
 def envelope_curves(cfg: ExperimentConfig):
-    """Worst-case Monte-Carlo curves and the analytic envelope per optimizer."""
+    """Worst-case Monte-Carlo curves and the analytic envelope per optimizer,
+    the schedules run one after another."""
     if cfg.family not in FAMILIES or FAMILIES[cfg.family].envelope is None:
         raise ConfigError(f"no envelope family {cfg.family!r}")
-    grid, factory = _grid_and_factory(cfg)
+    grid, insts = _grid_instances(cfg)
     schedules = [_schedule(cfg, name, cfg.family) for name in cfg.optimizers]
     env = FAMILIES[cfg.family].envelope(cfg, np.arange(cfg.iterations + 1))
-
-    def one(sched):
-        return sched.name, optimizers.expected_error_curve(sched, factory, grid,
+    results = {sched.name: optimizers.expected_error_curve(sched, insts, grid,
                                                            cfg.iterations, cfg.seeds)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = dict(pool.map(one, schedules))
+               for sched in schedules}
     return results, env
 
 
@@ -372,9 +359,9 @@ def cmd_fig2(cfg: ExperimentConfig, svg=None):
 
 
 def cmd_run(cfg: ExperimentConfig, opt: str):
-    grid, factory = _grid_and_factory(cfg)
+    grid, insts = _grid_instances(cfg)
     sched = _schedule(cfg, opt, cfg.family)
-    curve = optimizers.expected_error_curve(sched, factory, grid, cfg.iterations, cfg.seeds)
+    curve = optimizers.expected_error_curve(sched, insts, grid, cfg.iterations, cfg.seeds)
     rows = [[int(k), float(curve.worst_mean[k]), float(curve.stderr[k]),
              float(curve.worst_param[k])] for k in curve.k]
     return EXIT_OK, write_csv(["k", "err_mean", "err_stderr", "worst_eta"], rows,

@@ -28,9 +28,11 @@ suboptimality from each grid point's mean matrix, whose bits differ from
 `run`'s in the last places.  `ExactBatchedEngine` serves the deterministic
 ones (gd, agd, hb, cd_cyclic) with the scalar engine's own arithmetic, so
 each of its rows equals `run` on its instance bit for bit.
-`expected_error_curve` runs every oblivious schedule once over its whole
-parameter grid, averaging a stochastic one's curves over seeds; only the
-non-oblivious L-BFGS runs grid point by grid point.
+`expected_error_curve` takes a parameter grid with its instances already
+built, so that the schedules of one command share a single grid build.  It
+runs every oblivious schedule once over the whole grid, averaging a
+stochastic one's curves over seeds; only the non-oblivious L-BFGS runs grid
+point by grid point.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class RunRecord:
     seed: int
     errors: np.ndarray  # errors[c] = suboptimality after c oracle calls
     log: CallLog
-
-    @property
-    def calls(self) -> int:
-        return len(self.errors) - 1
 
 
 def make_optimizer(name: str, L=None, mu=None, step=None, epoch=None,
@@ -675,12 +673,13 @@ class WorstCaseCurve:
         return self.worst_mean - nsigma * self.stderr
 
 
-def expected_error_curve(schedule: Schedule, instance_factory, grid, iterations: int,
+def expected_error_curve(schedule: Schedule, instances, grid, iterations: int,
                          seeds: int = 100) -> WorstCaseCurve:
     """Monte-Carlo mean suboptimality per oracle call for each grid parameter,
     then the max over the grid per call index.
 
-    instance_factory maps a grid parameter to an instance.  An oblivious
+    instances[g] is the instance built at grid[g]; the caller builds them
+    once, and several schedules may share them.  An oblivious
     schedule runs once over the whole grid on a batched engine, a
     deterministic one with a single seed per grid point (its curves are
     `run`'s, bit for bit); only the non-oblivious L-BFGS runs grid point
@@ -691,7 +690,9 @@ def expected_error_curve(schedule: Schedule, instance_factory, grid, iterations:
         raise ValueError("empty parameter grid")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    insts = [instance_factory(param) for param in grid]
+    insts = list(instances)
+    if len(insts) != len(grid):
+        raise ValueError(f"{len(insts)} instances for {len(grid)} grid points")
     errs = np.zeros((len(grid), iterations + 1))
     if not schedule.oblivious:
         means = np.array([run(schedule, inst, iterations, seed=0).errors for inst in insts])

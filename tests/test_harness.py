@@ -2,11 +2,12 @@ import argparse
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from lblab import bestapprox, cli, harness
+from lblab import bestapprox, cli, harness, instances, optimizers
 from lblab.harness import (EXIT_CONFIG, EXIT_OK, ConfigError, cmd_envelope,
                            cmd_fig1, cmd_sampling_compare, cmd_trace,
                            load_config, log_slope_fit, verify_all,
@@ -113,16 +114,6 @@ def test_config_hash_tracks_content():
     assert small_cfg().hash() != small_cfg(n=16).hash()
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("LBLAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LBLAB_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.delenv("LBLAB_THREADS")
-    assert worker_count() >= 1
-
-
 def test_write_csv_format():
     text = write_csv(["k", "v"], [[0, 0.1], [1, np.float64(0.25)]], "abc123", units="u")
     lines = text.splitlines()
@@ -132,14 +123,29 @@ def test_write_csv_format():
     assert lines[3] == "1,0.25"
 
 
-def test_envelope_csv_deterministic_across_thread_counts(monkeypatch):
-    cfg = small_cfg()
-    monkeypatch.setenv("LBLAB_THREADS", "1")
-    code1, csv1 = cmd_envelope(cfg)
+def test_envelope_builds_the_grid_once_in_the_calling_thread(monkeypatch):
+    built, threads = [], []
+    fsm_instance, curve = instances.fsm_instance, optimizers.expected_error_curve
+
+    def counted(*args, **kwargs):
+        built.append(args[0][0])
+        return fsm_instance(*args, **kwargs)
+
+    def watched(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return curve(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "fsm_instance", counted)
+    monkeypatch.setattr(optimizers, "expected_error_curve", watched)
     monkeypatch.setenv("LBLAB_THREADS", "4")
-    code2, csv2 = cmd_envelope(cfg)
-    assert code1 == code2
-    assert csv1 == csv2
+    cfg = load_config(None, iterations=20, seeds=5)
+    assert cfg.family == "fsm" and len(cfg.optimizers) == 5
+    results, _ = harness.envelope_curves(cfg)
+    assert sorted(results) == sorted(cfg.optimizers)
+    # one instance per grid point, shared by the five schedules
+    assert built == list(harness.fsm_scalar_grid(cfg))
+    assert threads == [threading.get_ident()] * 5
+    assert worker_count() == 1
 
 
 def test_envelope_holds_on_small_run():

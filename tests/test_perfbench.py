@@ -3,10 +3,10 @@
 `perfbench/run.py` reads `harness.worker_count`, `harness.write_csv` (and
 the text it returns), `optimizers.run(...).log.total` (the call count of
 the run's engine), `batched_curves`' positional `iterations, seeds`,
-`bestapprox.linprog`, the two scalar engine classes and the
-MultiPoly/UniPoly arithmetic; one traced pass of the scalar and of the
-symbolic workload reaches all of them and checks every output.  `-B` keeps
-`perfbench/` free of bytecode.
+`bestapprox.linprog`, the two scalar engine classes, the
+MultiPoly/UniPoly arithmetic and `harness.envelope_curves`; one traced pass
+of the scalar, the symbolic and the montecarlo workload reaches all of them
+and checks every output.  `-B` keeps `perfbench/` free of bytecode.
 """
 
 import json
@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["scalar", "symbolic"])
+@pytest.mark.parametrize("workload", ["scalar", "symbolic", "montecarlo"])
 def test_perfbench_traced_pass_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seconds", "0",
@@ -32,6 +32,9 @@ def test_perfbench_traced_pass_is_correct(workload):
         # every scalar run's engine call count against the answers the tracer saw
         assert (metrics["optimizers.run_calls"]["value"]
                 == metrics["oracles.answer_us.numeric.n"]["value"] > 0)
-    else:
+    elif workload == "symbolic":
         # the tracer's wrappers reach the polynomial arithmetic
         assert metrics["polynomials.op_calls.mul"]["value"] > 0
+    else:
+        # the envelope runs without a worker pool, and the tracer still times it
+        assert metrics["harness.envelope_curves_s"]["value"] > 0
