@@ -114,6 +114,15 @@ def test_config_hash_tracks_content():
     assert small_cfg().hash() != small_cfg(n=16).hash()
 
 
+def test_worker_count_env(monkeypatch):
+    # the envelope has no worker pool: the variable is no longer read
+    for value in ("3", "zero"):
+        monkeypatch.setenv("LBLAB_THREADS", value)
+        assert worker_count() == 1
+    monkeypatch.delenv("LBLAB_THREADS")
+    assert worker_count() == 1
+
+
 def test_write_csv_format():
     text = write_csv(["k", "v"], [[0, 0.1], [1, np.float64(0.25)]], "abc123", units="u")
     lines = text.splitlines()
@@ -121,6 +130,18 @@ def test_write_csv_format():
     assert lines[1] == "k,v"
     assert lines[2] == "0,0.1"
     assert lines[3] == "1,0.25"
+
+
+def test_envelope_csv_deterministic_across_thread_counts(monkeypatch):
+    cfg = small_cfg()
+    monkeypatch.setenv("LBLAB_THREADS", "1")
+    code1, csv1 = cmd_envelope(cfg)
+    monkeypatch.setenv("LBLAB_THREADS", "4")
+    code2, csv2 = cmd_envelope(cfg)
+    monkeypatch.delenv("LBLAB_THREADS")
+    code3, csv3 = cmd_envelope(cfg)
+    assert code1 == code2 == code3
+    assert csv1 == csv2 == csv3
 
 
 def test_envelope_builds_the_grid_once_in_the_calling_thread(monkeypatch):
