@@ -72,7 +72,10 @@ def maxnorm_lb(a: float, b: float, c: float, k: int) -> float:
         raise ValueError("need c > -a")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    pref = 2 * (b - a) / ((b + a + 2 * c) ** 2 - (b - a) ** 2)
+    try:  # (b+a+2c)^2 - (b-a)^2 overflows, or rounds to 0, where b/a is huge
+        pref = 2 * (b - a) / ((b + a + 2 * c) ** 2 - (b - a) ** 2)
+    except (OverflowError, ZeroDivisionError) as e:
+        raise ValueError(f"the maxnorm prefactor is not finite at a={a!r}, b={b!r}") from e
     return pref * _ratio_from_root((b + c) / (a + c)) ** k
 
 

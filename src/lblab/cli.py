@@ -5,13 +5,14 @@ sampling-compare, verify-all.  Each one's body is a `harness.cmd_*`
 function that returns (exit code, text); `main` writes that text in one
 place, to `--out` if given (verify-all has no `--out`) and to stdout
 otherwise, so `--out` writes exactly the bytes the command would print.
-Each subcommand takes only the setting flags its body reads; a config file
-may still set any field.
+Each subcommand takes only the setting flags its body reads (`bounds`, only
+those its formula reads); a config file may still set any field.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -48,10 +49,19 @@ def _add_common(p, *flags):
 
 
 def _config(args):
-    overrides = {k: getattr(args, k, None)
-                 for k in ("family", "n", "d", "iterations", "seeds", "grid_points", "kappa",
-                           "approx_grid")}
-    return harness.load_config(getattr(args, "config", None), **overrides)
+    """The config file, then every parsed arg that names a setting."""
+    names = {f.name for f in dataclasses.fields(harness.ExperimentConfig)} | {"kappa"}
+    return harness.load_config(getattr(args, "config", None),
+                               **{k: v for k, v in vars(args).items() if k in names})
+
+
+def _bounds(cfg, args):
+    """`bounds`, refusing a setting flag its formula does not read."""
+    reads = harness.FORMULAS[args.formula][0]
+    for flag in ("--n", "--kappa"):
+        if getattr(args, flag[2:]) is not None and flag not in reads:
+            raise ConfigError(f"bounds --formula {args.formula} does not read {flag}")
+    return harness.cmd_bounds(cfg, args.formula, args.kmax)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--n", "--kappa")
     p.add_argument("--formula", default="maxnorm", choices=harness.FORMULAS)
     p.add_argument("--kmax", type=int, default=20)
-    p.set_defaults(body=lambda cfg, a: harness.cmd_bounds(cfg, a.formula, a.kmax))
+    p.set_defaults(body=_bounds)
 
     p = sub.add_parser("approx-check", help="analytic bounds vs brute-force optima")
     _add_common(p)

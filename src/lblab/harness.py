@@ -14,6 +14,7 @@ import hashlib
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass, asdict
 from typing import Callable, NamedTuple, Optional
 
@@ -129,10 +130,10 @@ def _fmt(v):
     return str(v)
 
 
-def write_svg(path, curves, title="", logy=True, width=640, height=420):
-    """Write a minimal polyline plot to `path` and return its text; curves
-    is {label: (x, y)}."""
-    pad = 50
+def write_svg(path, curves, title="", logy=True):
+    """Write a minimal 640x420 polyline plot to `path` and return its text;
+    curves is {label: (x, y)}."""
+    width, height, pad = 640, 420, 50
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in curves.values()])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in curves.values()])
     if logy:
@@ -225,18 +226,18 @@ FAMILIES = {
         lambda cfg, k: bounds.rlm_rate_envelope(cfg.lam, cfg.n, k)),
 }
 
-# The `bounds` command's formulas: name -> (cfg, k) -> bound at degree k.
+# `bounds` formulas: name -> (setting flags read, (cfg, k) -> bound at degree k).
 FORMULAS = {
-    "chebyshev_inf": lambda cfg, k: bounds.chebyshev_lb_inf(2.0, k),
-    "maxnorm": lambda cfg, k: bounds.maxnorm_lb(cfg.mu, cfg.L, 0.0, k),
-    "l1": lambda cfg, k: bounds.l1_lb(cfg.L, cfg.mu, (cfg.L + cfg.mu) / 2, k),
-    "l2": lambda cfg, k: bounds.l2_weighted_lb(-0.5, k),
-    "fsm_envelope": FAMILIES["fsm"].envelope,
+    "chebyshev_inf": ((), lambda cfg, k: bounds.chebyshev_lb_inf(2.0, k)),
+    "maxnorm": (("--kappa",), lambda cfg, k: bounds.maxnorm_lb(cfg.mu, cfg.L, 0.0, k)),
+    "l1": (("--kappa",), lambda cfg, k: bounds.l1_lb(cfg.L, cfg.mu, (cfg.L + cfg.mu) / 2, k)),
+    "l2": ((), lambda cfg, k: bounds.l2_weighted_lb(-0.5, k)),
+    "fsm_envelope": (("--n", "--kappa"), FAMILIES["fsm"].envelope),
 }
 
 
 def cmd_bounds(cfg: ExperimentConfig, formula: str, kmax: int):
-    rows = [[k, float(FORMULAS[formula](cfg, k))] for k in range(kmax + 1)]
+    rows = [[k, float(FORMULAS[formula][1](cfg, k))] for k in range(kmax + 1)]
     return EXIT_OK, write_csv(["k", "bound"], rows, cfg.hash(), units=formula)
 
 
@@ -246,16 +247,15 @@ def cmd_approx_check(cfg: ExperimentConfig, kmax: int):
                               cfg.hash(), units="approximation error")
 
 
-def _schedule(cfg: ExperimentConfig, name: str, family: str):
-    """The named schedule, checked against the oracle family it will run on."""
-    sched = optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, memory=cfg.lbfgs_memory)
-    optimizers.check_family(sched, family == "rlm")
-    return sched
+def _schedule(cfg: ExperimentConfig, name: str):
+    """The named schedule; the loop that runs it checks it against its engine."""
+    return optimizers.make_optimizer(name, L=cfg.L, mu=cfg.mu, memory=cfg.lbfgs_memory)
 
 
 def _grid_instances(cfg: ExperimentConfig):
     """cfg.family's parameter grid and one instance per grid point, all built
-    here: bad input fails before any run, and every schedule shares them."""
+    here: a bad setting fails before any run, and every schedule shares them.
+    A schedule of the other oracle family fails when its run starts (exit 3)."""
     if cfg.family not in FAMILIES:
         raise ConfigError(f"family {cfg.family!r} has no instance grid")
     family = FAMILIES[cfg.family]
@@ -269,7 +269,7 @@ def envelope_curves(cfg: ExperimentConfig):
     if cfg.family not in FAMILIES or FAMILIES[cfg.family].envelope is None:
         raise ConfigError(f"no envelope family {cfg.family!r}")
     grid, insts = _grid_instances(cfg)
-    schedules = [_schedule(cfg, name, cfg.family) for name in cfg.optimizers]
+    schedules = [_schedule(cfg, name) for name in cfg.optimizers]
     env = FAMILIES[cfg.family].envelope(cfg, np.arange(cfg.iterations + 1))
     results = {sched.name: optimizers.expected_error_curve(sched, insts, grid,
                                                            cfg.iterations, cfg.seeds)
@@ -284,7 +284,7 @@ def cmd_envelope(cfg: ExperimentConfig):
     violated = False
     for name in sorted(results):
         curve = results[name]
-        lo = curve.lower_confidence(3.0)
+        lo = curve.lower_confidence()
         for k in range(cfg.iterations + 1):
             margin = lo[k] - env[k]
             if margin < 0:
@@ -297,28 +297,20 @@ def cmd_envelope(cfg: ExperimentConfig):
 
 def fig1_curves(cfg: ExperimentConfig):
     inst = instances.nesterov_chain(cfg.d, cfg.L, cfg.mu)
-    names = ("gd", "agd", "hb", "lbfgs")
-    out = {}
-    for name in names:
-        sched = _schedule(cfg, name, "chain")
-        calls = cfg.iterations if name != "lbfgs" else 2 * cfg.iterations + 1
-        rec = optimizers.run(sched, inst, calls, seed=0)
-        if name == "lbfgs":
-            # one init call + two mean-gradient evaluations per iteration
-            errs = rec.errors[1::2]
-            errs = np.concatenate([[rec.errors[0]], errs])[: cfg.iterations + 1]
-        else:
-            errs = rec.errors
-        out[name] = errs
+    out = {name: optimizers.run(_schedule(cfg, name), inst, cfg.iterations).errors
+           for name in ("gd", "agd", "hb")}
+    # L-BFGS: one init call + two mean-gradient evaluations per iteration
+    errs = optimizers.run(_schedule(cfg, "lbfgs"), inst, 2 * cfg.iterations + 1).errors
+    out["lbfgs"] = np.concatenate([errs[:1], errs[1::2]])[: cfg.iterations + 1]
     return out
 
 
-def log_slope_fit(errs: np.ndarray, lo: int, hi: int, floor_rel: float = 1e-13):
+def log_slope_fit(errs: np.ndarray, lo: int, hi: int):
     """Least-squares slope of ln(err) on iterations [lo, hi], truncated where
-    the error has hit the numerical floor relative to err[0].
+    the error has hit the numerical floor, 1e-13 * err[0].
 
     Returns (slope, r_squared, actual_hi)."""
-    floor = errs[0] * floor_rel
+    floor = errs[0] * 1e-13
     usable = np.where(errs > floor)[0]
     hi = min(hi, usable.max()) if usable.size else lo
     ks = np.arange(lo, hi + 1)
@@ -335,8 +327,16 @@ def log_slope_fit(errs: np.ndarray, lo: int, hi: int, floor_rel: float = 1e-13):
 
 
 def cmd_fig1(cfg: ExperimentConfig, svg=None):
-    """The CSV, and the same curves plotted to the file `svg` if given."""
-    curves = fig1_curves(cfg)
+    """The CSV, and the same curves plotted to the file `svg` if given;
+    curves that overflow float arithmetic (at a huge kappa) are refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warnings raise
+        try:
+            curves = fig1_curves(cfg)
+        except (RuntimeWarning, ZeroDivisionError):  # the latter, a zero L-BFGS curvature
+            curves = None
+    if curves is None or not all(np.isfinite(v).all() for v in curves.values()):
+        raise ConfigError(f"fig1's curves overflow float arithmetic at kappa={cfg.kappa!r}")
     ks = np.arange(cfg.iterations + 1)
     rows = [[int(k)] + [float(curves[n][k]) for n in ("gd", "agd", "hb", "lbfgs")]
             for k in ks]
@@ -360,7 +360,7 @@ def cmd_fig2(cfg: ExperimentConfig, svg=None):
 
 def cmd_run(cfg: ExperimentConfig, opt: str):
     grid, insts = _grid_instances(cfg)
-    sched = _schedule(cfg, opt, cfg.family)
+    sched = _schedule(cfg, opt)
     curve = optimizers.expected_error_curve(sched, insts, grid, cfg.iterations, cfg.seeds)
     rows = [[int(k), float(curve.worst_mean[k]), float(curve.stderr[k]),
              float(curve.worst_param[k])] for k in curve.k]
@@ -369,7 +369,7 @@ def cmd_run(cfg: ExperimentConfig, opt: str):
 
 
 def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0):
-    sched = _schedule(cfg, opt, cfg.family)
+    sched = _schedule(cfg, opt)
     vec = trace.trace_oblivious(sched, cfg.family, k, seed=seed, n=cfg.n, d=cfg.d,
                                 L=cfg.L, mu=cfg.mu, R=cfg.R, lam=cfg.lam)
     lines = [polynomials.poly_to_json(e) for e in vec.entries]
@@ -383,7 +383,7 @@ def cmd_sampling_compare(cfg: ExperimentConfig):
         raise ConfigError(f"sampling-compare runs on the fsm family only, got {cfg.family!r}")
     eta = (cfg.L - cfg.mu) / 2
     inst = FAMILIES["fsm"].instance(cfg, -eta)
-    sched = _schedule(cfg, "sag", "fsm")
+    sched = _schedule(cfg, "sag")
     with_rep = optimizers.batched_curves(sched, [inst], cfg.iterations, cfg.seeds).mean(axis=0)
     without = optimizers.batched_curves(sched, [inst], cfg.iterations, cfg.seeds,
                                         replacement=False).mean(axis=0)

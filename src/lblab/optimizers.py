@@ -20,7 +20,8 @@ counts its oracle calls by query kind and in total.  `run`,
 `batched_curves`, `audit_oblivious` and `trace_oblivious` share one loop,
 `_drive`, that measures the tracked point per oracle call (call 0 =
 initialization): suboptimality, the x-axis the lower-bound envelopes are
-stated in, or the tracer's degree budget.
+stated in, or the tracer's degree budget.  It alone checks each schedule
+against its engine: count, oracle family, and L-BFGS on scalar engines.
 
 There are two batched quadratic engines.  `BatchedEngine` serves the
 stochastic schedules with Monte-Carlo kernels: a gemm mean gradient and a
@@ -281,26 +282,23 @@ def _make_engine(instance, seed):
     return engine
 
 
-def check_family(schedule: Schedule, dual: bool):
-    """Raise ValueError unless the schedule asks the dual coordinate oracles
-    exactly when the instance family is the dual one."""
-    if dual != (schedule.name in DUAL_NAMES):
-        kind = "dual" if dual else "primal"
-        raise ValueError(f"{schedule.name} does not run on the {kind} oracle family")
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based stream: independent across (run, seed) pairs."""
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _drive(schedule: Schedule, engine, ask, measure, errors):
-    """Step `schedule` on `engine` until `errors` holds one measure per
-    oracle call, and return the final state.
+def _drive(schedule: Schedule, engine, ask, measure, iterations: int):
+    """Step `schedule` on `engine` for `iterations` oracle calls; return the
+    final state and errors, errors[..., c] the measure after c calls.
 
-    `errors` has shape (iterations+1,) or (rows, iterations+1);
-    `engine.log.total` counts the oracle calls made so far and `measure` maps
-    the tracked point to one error (or one per row).  The point is measured
+    The run contract is checked here, once, before any state or buffer is
+    built.  A negative `iterations`, a schedule asking the dual oracles
+    (`DUAL_NAMES`) on an engine that is not a `PairOracle` or the other way
+    round, and a non-oblivious schedule (L-BFGS) off the scalar
+    `NumericEngine` and `DualNumericEngine` each raise ValueError with one
+    message.
+
+    `measure` maps the tracked point to one error (or one per batch row),
     after every step that called the oracle, including the one that passes
     `iterations`.  Multi-call steps (full gradients, snapshots) update the
     tracked point only when the step completes; intermediate call indices
@@ -308,10 +306,18 @@ def _drive(schedule: Schedule, engine, ask, measure, errors):
     oracle (L-BFGS's stalled and probe steps too), so a step that makes no
     call is a schedule error and raises RuntimeError.
     """
-    cols = errors.T  # one row per call index
-    iterations = len(cols) - 1
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    dual = isinstance(engine, PairOracle)
+    if dual != (schedule.name in DUAL_NAMES):
+        kind = "dual" if dual else "primal"
+        raise ValueError(f"{schedule.name} does not run on the {kind} oracle family")
+    if not (schedule.oblivious or isinstance(engine, (NumericEngine, DualNumericEngine))):
+        raise ValueError(f"{schedule.name} reads its answers; it runs on the scalar engines only")
     state = schedule.init(engine)
     err = measure(state["w"])
+    errors = np.empty(np.shape(err) + (iterations + 1,), object if err is None else float)
+    cols = errors.T  # one row per call index
     cols[0] = err
     filled = k = 0
     while filled < iterations:
@@ -328,23 +334,16 @@ def _drive(schedule: Schedule, engine, ask, measure, errors):
             cols[hi] = new_err if after <= iterations else err
         err = new_err
         filled = hi
-    return state
-
-
-def _check_run(schedule: Schedule, instance, iterations: int):
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    check_family(schedule, isinstance(instance, RlmInstance))
+    return state, errors
 
 
 def run(schedule: Schedule, instance, iterations: int, seed: int = 0) -> RunRecord:
     """Execute `iterations` oracle calls and record suboptimality per call;
     a multi-call step repeats the previous error until it completes.  The
     record's `log` is the engine's."""
-    _check_run(schedule, instance, iterations)
     engine = _make_engine(instance, seed)
-    errors = np.empty(iterations + 1)
-    _drive(schedule, engine, partial(answer, engine), instance.suboptimality, errors)
+    _, errors = _drive(schedule, engine, partial(answer, engine), instance.suboptimality,
+                       iterations)
     return RunRecord(schedule.name, seed, errors, engine.log)
 
 
@@ -354,7 +353,6 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
     An oblivious schedule emits the same queries whatever the answers are;
     a schedule whose parameters read the answers will diverge (or fail).
     """
-    _check_run(schedule, instance, iterations)
 
     def queries(zeroed):
         engine = _make_engine(instance, seed)
@@ -365,7 +363,7 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
             out = answer(engine, point, query)  # a zeroed run still checks shapes
             return engine.zero() if zeroed else out
 
-        _drive(schedule, engine, ask, lambda w: 0.0, np.empty(iterations + 1))
+        _drive(schedule, engine, ask, lambda w: 0.0, iterations)
         return asked[:iterations]
 
     real = queries(False)
@@ -645,21 +643,13 @@ def batched_curves(schedule: Schedule, instances, iterations: int, seeds: int,
     component draw comes from consecutive random permutations of the
     components instead.
     """
-    if not schedule.oblivious:
-        raise ValueError(f"{schedule.name} reads its answers; it runs on the scalar engine")
     instances = list(instances)
-    dual = any(isinstance(inst, RlmInstance) for inst in instances)
-    check_family(schedule, dual)
-    if dual:
+    if any(isinstance(inst, RlmInstance) for inst in instances):
         kind = BatchedDualEngine
-    elif schedule.stochastic:
-        kind = BatchedEngine
     else:
-        kind = ExactBatchedEngine
+        kind = BatchedEngine if schedule.stochastic else ExactBatchedEngine
     engine = kind(instances, seeds, iterations, replacement)
-    errors = np.empty((len(engine.rows), iterations + 1))
-    _drive(schedule, engine, partial(answer, engine), engine.suboptimality, errors)
-    return errors
+    return _drive(schedule, engine, partial(answer, engine), engine.suboptimality, iterations)[1]
 
 
 @dataclass
@@ -669,8 +659,8 @@ class WorstCaseCurve:
     stderr: np.ndarray
     worst_param: np.ndarray
 
-    def lower_confidence(self, nsigma: float = 3.0) -> np.ndarray:
-        return self.worst_mean - nsigma * self.stderr
+    def lower_confidence(self) -> np.ndarray:
+        return self.worst_mean - 3.0 * self.stderr
 
 
 def expected_error_curve(schedule: Schedule, instances, grid, iterations: int,
@@ -683,7 +673,8 @@ def expected_error_curve(schedule: Schedule, instances, grid, iterations: int,
     schedule runs once over the whole grid on a batched engine, a
     deterministic one with a single seed per grid point (its curves are
     `run`'s, bit for bit); only the non-oblivious L-BFGS runs grid point
-    by grid point on the scalar engine.
+    by grid point on the scalar engine.  A one-seed mean is its row, bit
+    for bit but for a -0 (f(w) - f* is -0 only where f* is +0), which turns +0.
     """
     grid = list(grid)
     if not grid:
@@ -693,20 +684,19 @@ def expected_error_curve(schedule: Schedule, instances, grid, iterations: int,
     insts = list(instances)
     if len(insts) != len(grid):
         raise ValueError(f"{len(insts)} instances for {len(grid)} grid points")
-    errs = np.zeros((len(grid), iterations + 1))
-    if not schedule.oblivious:
-        means = np.array([run(schedule, inst, iterations, seed=0).errors for inst in insts])
-    elif not schedule.stochastic:
-        means = batched_curves(schedule, insts, iterations, 1)
-    else:
+    if schedule.oblivious:
+        seeds = seeds if schedule.stochastic else 1
         curves = batched_curves(schedule, insts, iterations, seeds)
-        means = np.empty((len(grid), iterations + 1))
-        # per grid point, the (seeds, iterations+1) reductions of a run over
-        # that point alone
-        for gi, block in enumerate(curves.reshape(len(grid), seeds, iterations + 1)):
-            means[gi] = block.mean(axis=0)
-            if seeds > 1:
-                errs[gi] = block.std(axis=0, ddof=1) / math.sqrt(seeds)
+    else:  # L-BFGS, one scalar run per grid point
+        seeds, curves = 1, [run(schedule, inst, iterations, seed=0).errors for inst in insts]
+    means = np.empty((len(grid), iterations + 1))
+    errs = np.zeros((len(grid), iterations + 1))
+    # per grid point, the (seeds, iterations+1) reductions of a run over
+    # that point alone
+    for gi, block in enumerate(np.reshape(curves, (len(grid), seeds, iterations + 1))):
+        means[gi] = block.mean(axis=0)
+        if seeds > 1:
+            errs[gi] = block.std(axis=0, ddof=1) / math.sqrt(seeds)
     worst_idx = np.argmax(means, axis=0)
     cols = np.arange(iterations + 1)
     return WorstCaseCurve(

@@ -1,4 +1,5 @@
-"""Symbolic execution of oblivious schedules.
+"""Symbolic execution of oblivious schedules, on the per-call loop `run` uses,
+which refuses a negative count, the other oracle family and L-BFGS.
 
 The iterates are polynomials in the instance parameters (eta per component
 for the quadratic families, sin psi per pair for the dual family).  The
@@ -32,7 +33,7 @@ import numpy as np
 from .instances import fsm_components, smooth_components, toy_components
 from .oracles import ComponentOracle, PairOracle, SingleRunEngine, answer
 from .polynomials import MultiPoly, PolyVector, UniPoly
-from .optimizers import Schedule, _drive, check_family, make_optimizer, make_rng
+from .optimizers import Schedule, _drive, make_optimizer, make_rng
 
 FAMILIES = ("toy", "fsm", "smooth", "rlm")
 
@@ -114,11 +115,6 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
     per-call loop that `run` uses, on the tracked point after every step
     that called the oracle.  Returns the tracked point as a PolyVector.
     """
-    if not schedule.oblivious:
-        raise ValueError(f"{schedule.name} is not declared oblivious; refusing to trace")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    check_family(schedule, family == "rlm")
     engine = _sym_engine(family, n=n, d=d, L=L, mu=mu, R=R, lam=lam)
     engine.rng = make_rng(seed)
 
@@ -127,8 +123,8 @@ def trace_oblivious(schedule: Schedule, family: str, k: int, seed: int = 0,
         _check_budget(out, family, engine.log.total)
         return out
 
-    state = _drive(schedule, engine, ask, lambda w: _check_budget(w, family, engine.log.total),
-                   np.empty(k + 1, object))
+    state, _ = _drive(schedule, engine, ask,
+                      lambda w: _check_budget(w, family, engine.log.total), k)
     return PolyVector(state["w"])
 
 
@@ -150,10 +146,7 @@ def fig2_data(L: float, mu: float, k_max: int = 4, grid: int = 1025):
         raise ValueError("k_max must be >= 1")
     gd_polys = [trace_gd_toy(k, L) for k in range(1, k_max + 1)]
     agd = make_optimizer("agd", L=L, mu=mu)
-    agd_polys = []
-    for k in range(1, k_max + 1):
-        vec = trace_oblivious(agd, "toy", k, L=L, mu=mu)
-        agd_polys.append(vec[0])
+    agd_polys = [trace_oblivious(agd, "toy", k, L=L, mu=mu)[0] for k in range(1, k_max + 1)]
     etas = np.linspace(mu, L, grid)
     header = (["eta"] + [f"gd_k{k}" for k in range(1, k_max + 1)]
               + [f"agd_k{k}" for k in range(1, k_max + 1)] + ["target"])

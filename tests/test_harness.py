@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,55 @@ def test_cli_infinite_kappa_exits_3_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["config error: L must be finite, got inf"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the prefactor's denominator rounds to 0, then overflows
+    (["bounds", "--formula", "maxnorm", "--kappa", "1e16"], "the maxnorm prefactor is not finite"),
+    (["bounds", "--formula", "maxnorm", "--kappa", "1e308"], "the maxnorm prefactor is not finite"),
+    # a zero L-BFGS curvature, then nan curves
+    (["fig1", "--d", "5", "--iters", "3", "--kappa", "1e110"],
+     "fig1's curves overflow float arithmetic"),
+    (["fig1", "--d", "5", "--iters", "3", "--kappa", "1e308"],
+     "fig1's curves overflow float arithmetic"),
+], ids=["maxnorm-1e16", "maxnorm-1e308", "fig1-1e110", "fig1-1e308"])
+def test_cli_huge_finite_kappa_exits_3_with_one_line(argv, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == EXIT_CONFIG
+    assert caught == []  # no overflow warning adds a stderr line
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: " + message)
+
+
+# the setting flags each `bounds` formula reads; it refuses the others
+FORMULA_READS = {"chebyshev_inf": set(), "maxnorm": {"--kappa"}, "l1": {"--kappa"},
+                 "l2": set(), "fsm_envelope": {"--n", "--kappa"}}
+
+
+@pytest.mark.parametrize("formula", sorted(FORMULA_READS))
+@pytest.mark.parametrize("flag, value", [("--n", "16"), ("--kappa", "50")])
+def test_cli_bounds_takes_only_the_flags_its_formula_reads(formula, flag, value, capsys):
+    assert set(harness.FORMULAS) == set(FORMULA_READS)
+    argv = ["bounds", "--formula", formula, "--kmax", "2"]
+    code = cli.main(argv + [flag, value])
+    captured = capsys.readouterr()
+    if flag in FORMULA_READS[formula]:
+        assert code == EXIT_OK and captured.err == ""
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr().out != captured.out  # the flag moves the hash at least
+    else:
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == f"config error: bounds --formula {formula} does not read {flag}\n"
+
+
+def test_bounds_config_file_may_set_a_field_its_formula_does_not_read(tmp_path, capsys):
+    ini = tmp_path / "n.ini"
+    ini.write_text("[run]\nn = 16\nmu = 2\n")
+    assert cli.main(["bounds", "--formula", "l2", "--config", str(ini)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("key", ["outdir", "envelope_prefactor"])
@@ -309,8 +359,17 @@ def test_cli_envelope_and_trace(capsys, tmp_path):
     ["trace", "--opt", "cd_random", "--family", "smooth", "--d", "3"],
     ["trace", "--opt", "gd", "--family", "fsm", "--d", "1"],
     ["sampling-compare", "--family", "rlm"],
+    # a schedule of the other oracle family fails when its run starts
+    ["envelope", "--iters", "5", "--seeds", "2", "--eta-grid", "3",
+     "--config", "[run]\noptimizers = sag, sdca\n"],
+    ["trace", "--opt", "sgd", "--k", "-5"],
 ])
-def test_cli_bad_input_exits_3_with_one_line(argv, capsys):
+def test_cli_bad_input_exits_3_with_one_line(argv, capsys, tmp_path):
+    if "--config" in argv:  # the flag's value is the file's text
+        i = argv.index("--config") + 1
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(argv[i])
+        argv = argv[:i] + [str(ini)] + argv[i + 1:]
     assert cli.main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""

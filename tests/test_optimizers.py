@@ -12,6 +12,7 @@ from lblab.optimizers import (DETERMINISTIC_NAMES, OPTIMIZER_NAMES,
                               expected_error_curve, make_optimizer, make_rng,
                               run)
 from lblab.oracles import FirstOrder, answer
+from lblab.trace import trace_oblivious
 
 L, MU, R = 100.0, 1.0, 1.0
 
@@ -94,6 +95,39 @@ def test_incompatible_oracle_family_rejected():
         run(make_optimizer("gd", L=L, mu=MU), dual, 10)
     with pytest.raises(ValueError):
         run(make_optimizer("sdca"), fsm(), 10)
+
+
+# run, audit_oblivious, batched_curves, expected_error_curve and
+# trace_oblivious, each on one fsm instance (or its family name)
+ENTRY_POINTS = {
+    "run": lambda sched, k: run(sched, fsm(n=4), k),
+    "audit_oblivious": lambda sched, k: audit_oblivious(sched, fsm(n=4), k),
+    "batched_curves": lambda sched, k: batched_curves(sched, [fsm(n=4)], k, 2),
+    "expected_error_curve":
+        lambda sched, k: expected_error_curve(sched, [fsm(n=4)], [0.0], k, seeds=2),
+    "trace_oblivious":
+        lambda sched, k: trace_oblivious(sched, "fsm", k, n=4, d=4, L=L, mu=MU, R=R),
+}
+# fault -> (schedule, oracle calls, the one message `_drive` raises)
+CONTRACT_FAULTS = {
+    "wrong oracle family": ("sdca", 10, "sdca does not run on the primal oracle family"),
+    "negative count": ("sag", -5, "iterations must be >= 0, got -5"),
+    "L-BFGS off the scalar engines":
+        ("lbfgs", 10, "lbfgs reads its answers; it runs on the scalar engines only"),
+}
+# run, audit_oblivious and expected_error_curve hand L-BFGS the scalar
+# engine, so it is a fault only where the entry point batches or traces
+CONTRACT_CASES = [(entry, fault) for entry in ENTRY_POINTS for fault in CONTRACT_FAULTS
+                  if fault != "L-BFGS off the scalar engines"
+                  or entry in ("batched_curves", "trace_oblivious")]
+
+
+@pytest.mark.parametrize("entry, fault", CONTRACT_CASES)
+def test_every_entry_point_refuses_each_contract_fault_with_one_message(entry, fault):
+    name, k, message = CONTRACT_FAULTS[fault]
+    with pytest.raises(ValueError) as err:
+        ENTRY_POINTS[entry](make_optimizer(name, L=L, mu=MU), k)
+    assert str(err.value) == message
 
 
 def test_audit_accepts_oblivious_schedules():
@@ -396,9 +430,8 @@ def test_exact_grid_rows_equal_run_bit_for_bit():
             sched = make_optimizer(name, L=inst0.L, mu=inst0.mu)
             for seeds in (1, 2):
                 engine = ExactBatchedEngine(grid, seeds, iterations)
-                curves = np.empty((len(grid) * seeds, iterations + 1))
-                _drive(sched, engine, lambda W, q: answer(engine, W, q),
-                       engine.suboptimality, curves)
+                _, curves = _drive(sched, engine, lambda W, q: answer(engine, W, q),
+                                   engine.suboptimality, iterations)
                 assert _same_bits(curves, batched_curves(sched, grid, iterations, seeds))
                 for g, inst in enumerate(grid):
                     ref = run(sched, inst, iterations)

@@ -118,8 +118,7 @@ def test_traced_polynomial_equals_numeric_iterate(name, family, data):
     # exact evaluation: in floats, the terms' cancellation costs more than 1e-12
     traced = np.array([float(e(tuple(map(Fraction, point)))) for e in vec])
     engine = _make_engine(instance, seed)
-    numeric = _drive(sched, engine, partial(answer, engine), lambda w: 0.0,
-                     np.empty(k + 1))["w"]
+    numeric = _drive(sched, engine, partial(answer, engine), lambda w: 0.0, k)[0]["w"]
     assert np.linalg.norm(traced - numeric) <= 1e-12 * np.linalg.norm(numeric)
 
 
