@@ -64,6 +64,7 @@ def load_config(path=None, kappa=None, **overrides) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
         parser = configparser.ConfigParser()
+        parser.optionxform = str  # keys name ExperimentConfig fields, L and R among them
         try:
             read = parser.read(path)
         except configparser.Error as e:  # a line outside any [section], say
@@ -372,8 +373,7 @@ def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0):
     sched = _schedule(cfg, opt)
     vec = trace.trace_oblivious(sched, cfg.family, k, seed=seed, n=cfg.n, d=cfg.d,
                                 L=cfg.L, mu=cfg.mu, R=cfg.R, lam=cfg.lam)
-    lines = [polynomials.poly_to_json(e) for e in vec.entries]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return EXIT_OK, "".join(polynomials.poly_to_json(e) + "\n" for e in vec.entries)
 
 
 def cmd_sampling_compare(cfg: ExperimentConfig):

@@ -208,9 +208,12 @@ class MultiPoly:
             raise ValueError("point length != indeterminate count")
         # A Fraction times a float is float(c) * x, and n / den is float(c)
         # correctly rounded, so float points need no Fraction per term.
-        # Other points take Fractions.
+        # Float64 array coordinates run the same operations elementwise, so
+        # each entry has the bits of the call at that entry.  Other points
+        # take Fractions.
         nums, den = self._nums, self._den
-        exact = not all(isinstance(x, float) for x in point)
+        arrays = [x for x in point if isinstance(x, np.ndarray)]
+        exact = not all(isinstance(x, (float, np.ndarray)) for x in point)
         acc = None
         for e, n in nums.items():
             t = Fraction(n, den) if exact else n / den
@@ -219,7 +222,9 @@ class MultiPoly:
                     t = t * x
             acc = t if acc is None else acc + t
         if acc is None:
-            return Fraction(0) if all(isinstance(x, (int, Fraction)) for x in point) else 0.0
+            acc = Fraction(0) if all(isinstance(x, (int, Fraction)) for x in point) else 0.0
+        if arrays and not isinstance(acc, np.ndarray):  # no term read an array coordinate
+            acc = np.full(np.broadcast_shapes(*(x.shape for x in arrays)), acc)
         return acc
 
     def __repr__(self):
@@ -253,9 +258,12 @@ class UniPoly(MultiPoly):
     def __call__(self, x):
         # Horner; exact when x is a Fraction or int.  At a float or float64
         # point each coefficient is n / den, float(c) correctly rounded, so
-        # the loop runs in floats.
-        if isinstance(x, float):
-            x, coeffs = float(x), [n / self._den for n in self._dense()]
+        # the loop runs in floats; at a float64 array it runs elementwise,
+        # each entry with the bits of the call at that entry.
+        if isinstance(x, (float, np.ndarray)):
+            coeffs = [n / self._den for n in self._dense()]
+            if isinstance(x, float):
+                x = float(x)
         else:
             coeffs = self.coeffs
         acc = x * 0
@@ -362,14 +370,31 @@ def sgn_chebyshev_moment(j: int, k: int) -> float:
 
 
 def poly_to_json(p) -> str:
-    # each coefficient in lowest terms, as a Fraction prints
+    """The bytes `json.dumps` prints for the dict above, written as text.
+
+    Each coefficient is in lowest terms, as a Fraction prints.  Over a
+    power-of-two denominator the gcd is 2**min(trailing zeros of n,
+    log2 den), so one shift reduces a term; other denominators take
+    `math.gcd`.  Each distinct reduced denominator is printed once.
+    """
     nums, den = p._nums, p._den
+    dyadic = den & (den - 1) == 0
+    log2 = den.bit_length() - 1
+    den_text = {}
     terms = []
     for e in sorted(nums):
         n = nums[e]
-        g = math.gcd(n, den)
-        terms.append({"exp": list(e), "num": str(n // g), "den": str(den // g)})
-    return json.dumps({"vars": p.nvars, "terms": terms})
+        if dyadic:
+            s = min((n & -n).bit_length() - 1, log2)
+            n, d = n >> s, den >> s
+        else:
+            g = math.gcd(n, den)
+            n, d = n // g, den // g
+        d_text = den_text.get(d)
+        if d_text is None:
+            d_text = den_text[d] = str(d)
+        terms.append(f'{{"exp": [{", ".join(map(str, e))}], "num": "{n}", "den": "{d_text}"}}')
+    return f'{{"vars": {p.nvars}, "terms": [{", ".join(terms)}]}}'
 
 
 def poly_from_json(s: str) -> MultiPoly:

@@ -150,11 +150,7 @@ def fig2_data(L: float, mu: float, k_max: int = 4, grid: int = 1025):
     etas = np.linspace(mu, L, grid)
     header = (["eta"] + [f"gd_k{k}" for k in range(1, k_max + 1)]
               + [f"agd_k{k}" for k in range(1, k_max + 1)] + ["target"])
-    rows = []
-    for eta in etas:
-        row = [float(eta)]
-        row += [float(p(eta)) for p in gd_polys]
-        row += [float(p((eta,))) for p in agd_polys]
-        row.append(1.0 / float(eta))
-        rows.append(row)
-    return header, rows
+    # each polynomial once over the whole grid, with the bits of a call per eta
+    columns = ([etas] + [p(etas) for p in gd_polys] + [p((etas,)) for p in agd_polys]
+               + [1.0 / etas])
+    return header, np.column_stack(columns).tolist()

@@ -76,7 +76,7 @@ def test_config_file_without_section_header_exits_3(tmp_path, capsys):
 def test_load_config_refuses_non_finite_parameters(key, value, tmp_path):
     p = tmp_path / "exp.ini"
     p.write_text(f"[experiment]\n{key} = {value}\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
         load_config(str(p))
     with pytest.raises(ConfigError):
         load_config(None, **{key: float(value)})
@@ -144,6 +144,19 @@ def test_bounds_config_file_may_set_a_field_its_formula_does_not_read(tmp_path, 
     ini.write_text("[run]\nn = 16\nmu = 2\n")
     assert cli.main(["bounds", "--formula", "l2", "--config", str(ini)]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_config_file_keys_keep_their_case(tmp_path, capsys):
+    # L is an upper-case field; a lowercased key would be unknown
+    ini = tmp_path / "L.ini"
+    ini.write_text("[run]\nL = 50\n")
+    assert cli.main(["bounds", "--formula", "fsm_envelope", "--config", str(ini)]) == EXIT_OK
+    from_file = capsys.readouterr()
+    assert from_file.err == ""
+    assert cli.main(["bounds", "--formula", "fsm_envelope", "--kappa", "50"]) == EXIT_OK
+    from_flag = capsys.readouterr().out
+    assert from_flag.startswith("# config_hash=")
+    assert from_file.out == from_flag
 
 
 @pytest.mark.parametrize("key", ["outdir", "envelope_prefactor"])

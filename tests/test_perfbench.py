@@ -33,8 +33,13 @@ def test_perfbench_traced_pass_is_correct(workload):
         assert (metrics["optimizers.run_calls"]["value"]
                 == metrics["oracles.answer_us.numeric.n"]["value"] > 0)
     elif workload == "symbolic":
-        # the tracer's wrappers reach the polynomial arithmetic
+        # the tracer's wrappers reach the polynomial arithmetic, the trace
+        # writer and fig2, and the writer's byte count is the one it had
+        # when it went through json.dumps
         assert metrics["polynomials.op_calls.mul"]["value"] > 0
+        assert metrics["polynomials.json_bytes"]["value"] == 5563860
+        assert metrics["polynomials.to_json_s"]["value"] > 0
+        assert metrics["trace.fig2_s"]["value"] > 0
     else:
         # the envelope runs without a worker pool, and the tracer still times it
         assert metrics["harness.envelope_curves_s"]["value"] > 0

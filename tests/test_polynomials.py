@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -301,3 +302,69 @@ def test_public_constructor_keeps_its_checks():
     p = MultiPoly(2, {(np.int64(1), 2.0): Fraction(1, 2), (0, 0): 0})
     assert list(p.terms.items()) == [((1, 2), Fraction(1, 2))]
     assert all(type(x) is int for e in p.terms for x in e)
+
+
+def _dumps_writer(p) -> str:
+    # the writer before the text one: a dict per term through json.dumps,
+    # each term reduced by math.gcd
+    nums, den = p._nums, p._den
+    terms = []
+    for e in sorted(nums):
+        n = nums[e]
+        g = math.gcd(n, den)
+        terms.append({"exp": list(e), "num": str(n // g), "den": str(den // g)})
+    return json.dumps({"vars": p.nvars, "terms": terms})
+
+
+def _writes_like_json_dumps(p):
+    s = poly_to_json(p)
+    assert s == _dumps_writer(p)
+    assert poly_from_json(s) == p
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_terms, st.integers(0, 300), st.lists(st.integers(0, 310), min_size=5, max_size=5),
+       st.tuples(*[st.integers(0, 40)] * 4))
+def test_text_writer_equals_json_dumps_writer(ta, b, shifts, powers):
+    # dyadic: each raw numerator times 2**shift over 2**b, so some terms carry
+    # more factors of two than the shared denominator and some fewer; the
+    # raw numerators bring the signs
+    dyadic = MultiPoly(2, {e: Fraction(c.numerator << z, 1 << b)
+                           for (e, c), z in zip(ta.items(), shifts)})
+    assert dyadic._den & (dyadic._den - 1) == 0
+    _writes_like_json_dumps(dyadic)
+    # non-dyadic: the raw fractions (denominators up to 6) over 3**i 5**j 7**k,
+    # times a power of two
+    i, j, k, z = powers
+    _writes_like_json_dumps(MultiPoly(2, ta).scale(Fraction(2 ** z, 3 ** (i + 1) * 5 ** j * 7 ** k)))
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2, 8])
+def test_text_writer_on_the_empty_polynomial(nvars):
+    _writes_like_json_dumps(MultiPoly(nvars, {}))
+
+
+def _same_bits_as_scalar_calls(call, array_point, points):
+    got = call(array_point)
+    assert isinstance(got, np.ndarray) and got.shape == (len(points),)
+    assert [v.hex() for v in got.tolist()] == [float(call(pt)).hex() for pt in points]
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_terms, st.integers(0, 60),
+       st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=8))
+def test_array_evaluation_equals_scalar_calls_bit_for_bit(ta, j, xs):
+    # large j puts numerators and denominator beyond 2**53, as in the float test
+    scale = Fraction(2 ** 60 + 1, 3 ** j)
+    x = np.array(xs, dtype=np.float64)
+    y = x[::-1] * -0.5
+    multi = [MultiPoly(2, ta).scale(scale), MultiPoly(2, {}), MultiPoly.constant(2, scale),
+             MultiPoly(2, {(0, 2): scale})]
+    for p in multi:
+        _same_bits_as_scalar_calls(p, (x, y), list(zip(x.tolist(), y.tolist())))
+    uni = [UniPoly(list(ta.values())).scale(scale), UniPoly(), UniPoly([scale])]
+    for u in uni:
+        _same_bits_as_scalar_calls(u, x, x.tolist())
+        # and its MultiPoly call at one-coordinate points, as fig2 calls AGD's
+        _same_bits_as_scalar_calls(partial(MultiPoly.__call__, u), (x,),
+                                   [(v,) for v in x.tolist()])

@@ -242,3 +242,21 @@ def test_trace_output_bytes_pinned(case):
                          "--seed", "1", "--kappa", "7"])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TRACE_PINS[case]
+
+
+# sha256 of `lblab fig2 --kappa <kappa>`, captured before fig2 evaluated its
+# polynomials over the whole grid at once; the default kappa is pinned in
+# perfbench/references.json
+FIG2_PINS = {
+    "7": "6ffb43b24ddac67b67541d71cf6f7ed5f04957e2266c562fe08db01857139a43",
+    "1e4": "752e0b8007e728bc923a296e899f6d11f16c34f69b914c7c69e514a42a58a95a",
+}
+
+
+@pytest.mark.parametrize("kappa", FIG2_PINS)
+def test_fig2_output_bytes_pinned(kappa):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["fig2", "--kappa", kappa])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FIG2_PINS[kappa]
