@@ -5,7 +5,9 @@ Matrices are stored structurally (a leading 2x2 block plus a diagonal tail)
 with a dense materialization used by test oracles; the structural form is
 what keeps the large-dimension benchmark runs cheap.  The structures'
 products are written over any entries with arithmetic: floats, per-row
-arrays (the batched engines) and exact polynomials (the symbolic tracer).
+arrays (a grid that `stack_rows` stacks into one instance, on (rows, d)
+points) and exact polynomials (the symbolic tracer).  They read entry i of
+a point as `w.T[i]`, which is the entry on object arrays too.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ class Block2Diag:
 
     def row_dot(self, i: int, w: np.ndarray) -> float:
         if i == 0:
-            return self.h * w[0] + self.e * w[1]
+            return self.h * w.T[0] + self.e * w.T[1]
         if i == 1:
-            return self.e * w[0] + self.h * w[1]
-        return self.tail * w[i]
+            return self.e * w.T[0] + self.h * w.T[1]
+        return self.tail * w.T[i]
 
     def eigvals(self):
         vals = [self.h + self.e, self.h - self.e]
@@ -59,25 +61,38 @@ class Block2Diag:
         return sorted(vals)
 
 
+def row_dots(X, Y):
+    """x @ y over the last axis, per row.  The stacked matmul calls BLAS dot
+    once per row, the kernel `x @ y` calls on two vectors, so each row has
+    the bits of that product; two vectors skip the stacking, which costs
+    more than the product on a run's per-call path."""
+    if X.ndim == Y.ndim == 1:
+        return X @ Y
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class DenseSym:
+    """A symmetric matrix Q, or a (rows, d, d) stack of them."""
+
     Q: np.ndarray
 
     @property
     def d(self):
-        return self.Q.shape[0]
+        return self.Q.shape[-1]
 
     def dense(self) -> np.ndarray:
         return self.Q
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self.Q @ w
+        # one gemv per row, the kernel `Q @ w` calls on a single vector
+        return (self.Q @ w[..., None])[..., 0]
 
     def diag(self, i: int) -> float:
-        return self.Q[i, i]
+        return self.Q.T[i, i]
 
     def row_dot(self, i: int, w: np.ndarray) -> float:
-        return self.Q[i] @ w
+        return row_dots(self.Q[..., i, :], w)
 
     def eigvals(self):
         return sorted(np.linalg.eigvalsh(self.Q))
@@ -88,6 +103,8 @@ class QuadraticInstance:
     """Average of n quadratic components (1/2) w'Q_i w - q_i'w.
 
     mu and L certify the per-component spectral sandwich mu I <= Q_i <= L I.
+    An instance from `stack_rows` holds one instance per row: its entries,
+    `minimizer` (rows, d) and `optimal_value` (rows,) have one value per row.
     """
 
     components: tuple  # of (matrix structure, q vector)
@@ -102,7 +119,7 @@ class QuadraticInstance:
 
     @property
     def d(self) -> int:
-        return len(self.minimizer)
+        return self.minimizer.shape[-1]
 
     def comp_grad(self, j: int, w: np.ndarray) -> np.ndarray:
         Q, q = self.components[j]
@@ -116,11 +133,14 @@ class QuadraticInstance:
 
     @cached_property
     def _terms(self):
-        """(distinct, slot): the distinct (Q, q) pairs by identity, and for
-        each component the index of its pair in `distinct`."""
+        """(distinct, slot): the (Q, q) pairs whose entries differ, and for
+        each component the index of its pair in `distinct`.  Pairs are keyed
+        on the bytes of the structure's fields and of q, so 0.0 and -0.0
+        stay apart."""
         first, distinct, slot = {}, [], []
         for Q, q in self.components:
-            key = (id(Q), id(q))
+            key = (type(Q), *(np.asarray(v).tobytes() for v in vars(Q).values()),
+                   np.asarray(q).tobytes())
             if key not in first:
                 first[key] = len(distinct)
                 distinct.append((Q, q))
@@ -128,15 +148,15 @@ class QuadraticInstance:
         return tuple(distinct), tuple(slot)
 
     def value(self, w: np.ndarray) -> float:
-        """Mean of the component values (1/2) w'Q_i w - q_i'w.
+        """Mean of the component values (1/2) w'Q_i w - q_i'w, per row.
 
         Each distinct (Q, q) pair's term is computed once, and the n terms
         are then added in component order.  This is bit-identical to the
-        plain loop over components: a pair that is the same objects gives
-        the same float term, and the sum runs in the same order.
+        plain loop over components: bit-identical entries give the same
+        float term, and the sum runs in the same order.
         """
         distinct, slot = self._terms
-        terms = [0.5 * float(w @ Q.matvec(w)) - float(q @ w) for Q, q in distinct]
+        terms = [0.5 * row_dots(w, Q.matvec(w)) - row_dots(q, w) for Q, q in distinct]
         tot = 0.0
         for i in slot:
             tot += terms[i]
@@ -212,15 +232,45 @@ def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstan
     half = (L - mu) / 2
     if np.any(np.abs(etas) > half + 1e-12):
         raise ValueError("|eta_i| must not exceed (L - mu)/2")
-    # equal etas (bit for bit, so -0.0 is not 0.0) share one component, which
-    # `QuadraticInstance.value` then evaluates once
-    shared = {}
-    comps = [shared.setdefault(Q.e.hex(), (Q, q)) for Q, q in comps]
     inst = _finish(comps, mu, L)
     closed = fsm_minimizer(etas, L, mu, R, d)
     if not np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed)):
         raise AssertionError("the solved minimizer disagrees with the closed form")
     return inst
+
+
+def stack_rows(instances, seeds: int = 1) -> QuadraticInstance:
+    """One instance whose row g*seeds + s is instances[g].
+
+    Components whose structures are all `Block2Diag` with one h, tail and q
+    (the fsm family) keep that form, with a per-row off-diagonal entry `e`;
+    a grid of any other structures becomes `DenseSym` components over a
+    (rows, d, d) stack with a (rows, d) q, whose rows round as `Q @ w`.
+    Block components of unlike h, tail or q are refused: the dense form
+    would multiply them as gemv does, not as `Block2Diag.matvec`.
+    """
+    instances = list(instances)
+    if len({(inst.n, inst.d) for inst in instances}) != 1:
+        raise ValueError("a batch needs one or more instances of one shape")
+
+    def per_row(per_instance):
+        return np.repeat(np.asarray(per_instance), seeds, axis=0)
+
+    comps = [inst.components for inst in instances]
+    Q0, q0 = comps[0][0]
+    if any(isinstance(Q, Block2Diag) for c in comps for Q, _ in c):
+        if not all(isinstance(Q, Block2Diag) and (Q.h, Q.tail) == (Q0.h, Q0.tail)
+                   and np.array_equal(q, q0) for c in comps for Q, q in c):
+            raise ValueError("an exact batch of Block2Diag components needs one h, tail and q")
+        e = per_row([[Q.e for Q, _ in c] for c in comps]).T.copy()  # (n, rows)
+        stacked = [(Block2Diag(Q0.d, Q0.h, ej, Q0.tail), q0) for ej in e]
+    else:
+        stacked = [(DenseSym(per_row([c[j][0].dense() for c in comps])),
+                    per_row([c[j][1] for c in comps])) for j in range(len(comps[0]))]
+    return QuadraticInstance(tuple(stacked), min(inst.mu for inst in instances),
+                             max(inst.L for inst in instances),
+                             per_row([inst.minimizer for inst in instances]),
+                             per_row([inst.optimal_value for inst in instances]))
 
 
 def fsm_minimizer(etas, L: float, mu: float, R: float, d: int) -> np.ndarray:

@@ -23,12 +23,14 @@ initialization): suboptimality, the x-axis the lower-bound envelopes are
 stated in, or the tracer's degree budget.  It alone checks each schedule
 against its engine: count, oracle family, and L-BFGS on scalar engines.
 
-There are two batched quadratic engines.  `BatchedEngine` serves the
-stochastic schedules with Monte-Carlo kernels: a gemm mean gradient and a
-suboptimality from each grid point's mean matrix, whose bits differ from
-`run`'s in the last places.  `ExactBatchedEngine` serves the deterministic
-ones (gd, agd, hb, cd_cyclic) with the scalar engine's own arithmetic, so
-each of its rows equals `run` on its instance bit for bit.
+A deterministic schedule (gd, agd, hb, cd_cyclic) runs its whole grid as
+`run` itself, on the one instance `instances.stack_rows` stacks the grid
+into: the scalar engine and the same closures, so each row equals `run` on
+its instance bit for bit.  The stochastic schedules run on the batched
+engines below, whose rows draw their seeds' own index streams;
+`BatchedEngine` answers the quadratic families with Monte-Carlo kernels, a
+gemm mean gradient and a suboptimality from each grid point's mean matrix,
+whose bits differ from `run`'s in the last places.
 `expected_error_curve` takes a parameter grid with its instances already
 built, so that the schedules of one command share a single grid build.  It
 runs every oblivious schedule once over the whole grid, averaging a
@@ -44,9 +46,9 @@ from functools import partial
 
 import numpy as np
 
-from .instances import Block2Diag, RlmInstance
+from .instances import Block2Diag, DenseSym, RlmInstance, row_dots, stack_rows
 from .oracles import (CallLog, DualExactCD, DualNumericEngine, FirstOrder,
-                      NumericEngine, PairOracle, SingleRunEngine, SteepestCD, answer)
+                      NumericEngine, PairOracle, SteepestCD, answer)
 
 OPTIMIZER_NAMES = ("gd", "agd", "hb", "sgd", "sag", "saga", "svrg", "sdca",
                    "sdca_primal", "cd_cyclic", "cd_random", "lbfgs")
@@ -295,8 +297,8 @@ def _drive(schedule: Schedule, engine, ask, measure, iterations: int):
     built.  A negative `iterations`, a schedule asking the dual oracles
     (`DUAL_NAMES`) on an engine that is not a `PairOracle` or the other way
     round, and a non-oblivious schedule (L-BFGS) off the scalar
-    `NumericEngine` and `DualNumericEngine` each raise ValueError with one
-    message.
+    `NumericEngine` and `DualNumericEngine`, or on one whose point holds
+    rows, each raise ValueError with one message.
 
     `measure` maps the tracked point to one error (or one per batch row),
     after every step that called the oracle, including the one that passes
@@ -312,7 +314,8 @@ def _drive(schedule: Schedule, engine, ask, measure, iterations: int):
     if dual != (schedule.name in DUAL_NAMES):
         kind = "dual" if dual else "primal"
         raise ValueError(f"{schedule.name} does not run on the {kind} oracle family")
-    if not (schedule.oblivious or isinstance(engine, (NumericEngine, DualNumericEngine))):
+    if not (schedule.oblivious or (isinstance(engine, (NumericEngine, DualNumericEngine))
+                                   and engine.zero().ndim == 1)):
         raise ValueError(f"{schedule.name} reads its answers; it runs on the scalar engines only")
     state = schedule.init(engine)
     err = measure(state["w"])
@@ -469,16 +472,15 @@ class _Batched:
         return out
 
 
-class _BatchedQuadratic(_Batched):
-    """The component oracle of QuadraticInstances over a seed batch each.
+class BatchedEngine(_Batched):
+    """QuadraticInstances over a seed batch each, with the Monte-Carlo
+    kernels: the mean gradient as one gemm per grid point, and the
+    suboptimality from each grid point's mean matrix.
 
     Every component is one entry per row: in the block form (shared h, tail
     and q, as in the fsm family) its off-diagonal entry `e`, and otherwise
     its dense (Q, q), component j of grid point g being entry g*n + j of
-    `Qs` and `qs`.  Each row rounds as the scalar engine does: the block
-    form runs `Block2Diag.matvec` row by row, and the dense form's matmuls
-    run the scalar engine's BLAS kernels (gemv for Q w, dot for a row of Q
-    times w) row by row.
+    `Qs` and `qs`.
     """
 
     def __init__(self, instances, seeds, iterations, replacement=True):
@@ -496,18 +498,20 @@ class _BatchedQuadratic(_Batched):
             self.Qs = np.stack([Q.dense() for inst in instances for Q, _ in inst.components])
             self.qs = np.stack([q for inst in instances for _, q in inst.components])
             self._comp_of_row = self.rows // seeds * self.n
-
-    def _comp_matvec(self, jv, W):
-        """Q_j w per row, for component jv of the row."""
-        if self.block:
-            return Block2Diag(self.d, self.h, self.e.take(self._row_n + jv), self.tail).matvec(W)
-        return (self.Qs.take(self._comp_of_row + jv, axis=0) @ W[:, :, None])[:, :, 0]
-
-    def _comp_q(self, jv):
-        return self.q if self.block else self.qs.take(self._comp_of_row + jv, axis=0)
+        self.A = np.stack([inst.mean_matrix() for inst in instances])
+        self.qbar = np.stack([inst.mean_q() for inst in instances])
+        # the (i, j) entries of A nonzero at some grid point, in (i, j) order,
+        # with A_ij per row
+        self._quad_terms = [(i, j, self.per_row(self.A[:, i, j]))
+                            for i, j in np.argwhere(self.A.any(axis=0))]
 
     def comp_grad(self, jv, W):
-        return self._comp_matvec(jv, W) - self._comp_q(jv)
+        """Q_j w - q_j per row, for component jv of the row."""
+        if self.block:
+            Q = Block2Diag(self.d, self.h, self.e.take(self._row_n + jv), self.tail)
+            return Q.matvec(W) - self.q
+        c = self._comp_of_row + jv
+        return DenseSym(self.Qs.take(c, axis=0)).matvec(W) - self.qs.take(c, axis=0)
 
     def diag(self, jv, iv):
         if self.block:
@@ -518,23 +522,7 @@ class _BatchedQuadratic(_Batched):
         if self.block:
             return self.comp_grad(jv, W).take(self._row_d + iv)
         c = (self._comp_of_row + jv) * self.d + iv
-        return ((self.Qs.reshape(-1, self.d).take(c, axis=0)[:, None, :] @ W[:, :, None])[:, 0, 0]
-                - self.qs.take(c))
-
-
-class BatchedEngine(_BatchedQuadratic):
-    """QuadraticInstances over a seed batch each, with the Monte-Carlo
-    kernels: the mean gradient as one gemm per grid point, and the
-    suboptimality from each grid point's mean matrix."""
-
-    def __init__(self, instances, seeds, iterations, replacement=True):
-        super().__init__(instances, seeds, iterations, replacement)
-        self.A = np.stack([inst.mean_matrix() for inst in instances])
-        self.qbar = np.stack([inst.mean_q() for inst in instances])
-        # the (i, j) entries of A nonzero at some grid point, in (i, j) order,
-        # with A_ij per row
-        self._quad_terms = [(i, j, self.per_row(self.A[:, i, j]))
-                            for i, j in np.argwhere(self.A.any(axis=0))]
+        return row_dots(self.Qs.reshape(-1, self.d).take(c, axis=0), W) - self.qs.take(c)
 
     def _by_grid(self, W):
         return W.reshape(self.grid, self.seeds, self.d)
@@ -558,55 +546,6 @@ class BatchedEngine(_BatchedQuadratic):
             quad += (W[:, i] * a) * W[:, j]
         lin = (self._by_grid(W) @ self.qbar[:, :, None]).ravel()
         return self.less_opt(0.5 * quad - lin)
-
-
-def _row_dots(X, Y):
-    """Per-row x @ y.  The stacked matmul calls BLAS dot once per row, the
-    kernel that `x @ y` calls on two vectors, so each row has its bits."""
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
-
-
-class ExactBatchedEngine(_BatchedQuadratic):
-    """QuadraticInstances over a seed batch each, with the scalar engine's
-    arithmetic: every row's floats are those of `run` on its instance.
-
-    `mean_grad` is `SingleRunEngine.mean_grad`, n first-order answers added
-    in component order, and `suboptimality` is `QuadraticInstance.value`
-    row by row.  The deterministic schedules run their whole grid on it.
-    Block components must share h, tail and q: the dense form multiplies
-    a `Block2Diag` as gemv does, not as its own `matvec`.
-    """
-
-    mean_grad = SingleRunEngine.mean_grad
-
-    def __init__(self, instances, seeds, iterations, replacement=True):
-        super().__init__(instances, seeds, iterations, replacement)
-        if not self.block and any(isinstance(Q, Block2Diag)
-                                  for inst in instances for Q, _ in inst.components):
-            raise ValueError("an exact batch of Block2Diag components needs one h, tail and q")
-        # component j's term slot: that of the first component whose entries
-        # are bit-identical to j's in every row, as `QuadraticInstance._terms`
-        # shares one term between components that are the same objects
-        first, self._slot = {}, []
-        for j in range(self.n):
-            if self.block:
-                key = self.e[:, j].tobytes()
-            else:
-                c = self._comp_of_row + j
-                key = (self.Qs[c].tobytes(), self.qs[c].tobytes())
-            self._slot.append(first.setdefault(key, j))
-
-    def suboptimality(self, W):
-        """Per-row `QuadraticInstance.suboptimality`: per component
-        0.5*(w @ Q_j w) - q_j @ w, the n terms added in component order into
-        +0, divided by n, less the optimal value."""
-        terms, tot = {}, np.zeros(len(W))
-        for j in self._slot:
-            if j not in terms:
-                terms[j] = (0.5 * _row_dots(W, self._comp_matvec(j, W))
-                            - _row_dots(self._comp_q(j), W))
-            tot += terms[j]
-        return self.less_opt(tot / self.n)
 
 
 class BatchedDualEngine(PairOracle, _Batched):
@@ -635,19 +574,21 @@ def batched_curves(schedule: Schedule, instances, iterations: int, seeds: int,
     schedule's own step closures run once over a batched engine, row
     g*seeds + s being the run `run(..., seed=s)` makes on instances[g].
 
-    Every oblivious schedule runs here.  A deterministic one runs on
-    `ExactBatchedEngine`, so each row equals that run bit for bit; the
-    stochastic ones run on the Monte-Carlo kernels of `BatchedEngine` (or
-    on `BatchedDualEngine`).  L-BFGS reads its answers as floats, so it
-    runs on the scalar engine alone.  With `replacement=False` every
+    Every oblivious schedule runs here.  A deterministic one is `run` on
+    `stack_rows(instances, seeds)`, so each row is that run, bit for bit;
+    the stochastic ones run on the Monte-Carlo kernels of `BatchedEngine`
+    (or on `BatchedDualEngine`).  L-BFGS reads its answers as floats, so it
+    runs on one instance at a time alone.  With `replacement=False` every
     component draw comes from consecutive random permutations of the
     components instead.
     """
     instances = list(instances)
     if any(isinstance(inst, RlmInstance) for inst in instances):
         kind = BatchedDualEngine
+    elif schedule.stochastic:
+        kind = BatchedEngine
     else:
-        kind = BatchedEngine if schedule.stochastic else ExactBatchedEngine
+        return run(schedule, stack_rows(instances, seeds), iterations).errors
     engine = kind(instances, seeds, iterations, replacement)
     return _drive(schedule, engine, partial(answer, engine), engine.suboptimality, iterations)[1]
 
@@ -670,7 +611,7 @@ def expected_error_curve(schedule: Schedule, instances, grid, iterations: int,
 
     instances[g] is the instance built at grid[g]; the caller builds them
     once, and several schedules may share them.  An oblivious
-    schedule runs once over the whole grid on a batched engine, a
+    schedule runs once over the whole grid (`batched_curves`), a
     deterministic one with a single seed per grid point (its curves are
     `run`'s, bit for bit); only the non-oblivious L-BFGS runs grid point
     by grid point on the scalar engine.  A one-seed mean is its row, bit

@@ -15,12 +15,14 @@ engine protocol (`comp_grad`, `diag`, `grad_entry`, `add_to_entry`), and
 the arithmetic behind the first three is written once per structure:
 `ComponentOracle` for finite sums of (Q, q) components, whose matrix
 structures live in `instances`, and `PairOracle` for the dual family's 2x2
-pair blocks.  The float engines here, the polynomial engines in `trace`
+pair blocks.  The float engines here (on one instance, or on a grid that
+`instances.stack_rows` stacked into one), the polynomial engines in `trace`
 (the same structures with exact entries, on PolyVector points) and the
-batched dual engine in `optimizers` all inherit them; the batched quadratic
-engines call `Block2Diag.matvec` row by row.  Batched points hold one row
-per (grid point, seed) pair, and their component and coordinate indices
-hold one entry per row.  Schedules reach index draws, component tables and
+batched dual engine in `optimizers` all inherit them; only the
+Monte-Carlo quadratic engine there keeps its own per-row kernels.  Points over
+a stack or a batch hold one row per (grid point, seed) pair, and entry i
+of a point is `w.T[i]`; a batch's component and coordinate indices hold
+one entry per row.  Schedules reach index draws, component tables and
 the mean gradient through the engine as well, and each engine owns its
 index stream: `SingleRunEngine.rng` is set by whoever drives the run.  A
 and B in first-order queries are scalars (times identity); every optimizer
@@ -85,7 +87,7 @@ class SingleRunEngine:
     rng = None
 
     def __init__(self, n, origin):
-        self.n, self.d, self._origin = n, len(origin), origin
+        self.n, self.d, self._origin = n, origin.shape[-1], origin
         self.log = CallLog()
 
     def zero(self):
@@ -108,7 +110,7 @@ class SingleRunEngine:
 
     def add_to_entry(self, w, i, t):
         out = w.copy()
-        out[i] += t
+        out.T[i] += t
         return out
 
     def mean_grad(self, w, ask, a=1.0, b=0.0):
@@ -138,7 +140,7 @@ class ComponentOracle:
 
     def grad_entry(self, j, i, w):
         Q, q = self.components[j]
-        return Q.row_dot(i, w) - q[i]
+        return Q.row_dot(i, w) - q.T[i]
 
 
 class PairOracle:
@@ -165,10 +167,11 @@ class PairOracle:
 
 
 class NumericEngine(ComponentOracle, SingleRunEngine):
-    """Engine over a QuadraticInstance."""
+    """Engine over a QuadraticInstance; over one from `stack_rows`, its
+    points hold one row per stacked instance."""
 
     def __init__(self, instance):
-        super().__init__(instance.n, np.zeros(instance.d))
+        super().__init__(instance.n, np.zeros(instance.minimizer.shape))
         self.instance, self.components = instance, instance.components
 
 
@@ -194,7 +197,7 @@ def _answer_first_order(engine, w, q: FirstOrder):
 
 def _coordinate_step(engine, point, i, g, d):
     # t = -(g / d) is the exact line minimum along e_i: slope g, curvature d
-    if not (d.all() if isinstance(d, np.ndarray) else d):  # arrays on batched engines
+    if not (d.all() if isinstance(d, np.ndarray) else d):  # arrays on per-row engines
         raise ZeroDivisionError("zero diagonal entry in a coordinate step")
     return engine.add_to_entry(point, i, -(g / d))
 

@@ -266,7 +266,7 @@ class UniPoly(MultiPoly):
                 x = float(x)
         else:
             coeffs = self.coeffs
-        acc = x * 0
+        acc = x * 0 + 0  # +0, as MultiPoly's zero: x * 0 alone is -0.0 at x < 0
         for c in reversed(coeffs):
             acc = acc * x + c
         return acc

@@ -481,6 +481,18 @@ def test_approx_check_output_bytes(capsys):
         "a436b0ed975999046233179077dd009a604d606491ff51966db291e0f8259ee3")
 
 
+@pytest.mark.parametrize("opt, digest", [
+    ("gd", "90a63d211decf33c3ce0f3ffbf1f628ea763d90337c78b8d9c0fc747423d5ed3"),
+    ("agd", "a4f06e5c427a5142be069c0c6f116ef837c3c04972b229738ec26f456c5435a9"),
+    ("hb", "37a1e6510916582eda91e0874497fcc29ecc74f054b60dcf0c55b52fc42ad0ab"),
+])
+def test_run_toy_output_bytes(opt, digest, capsys):
+    # the toy grid's components are DenseSym, so its deterministic rows take
+    # the dense stacked form; the pinned fsm runs take the block form
+    assert cli.main(["run", "--opt", opt, "--family", "toy"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kmax", ["13", "500"])
 def test_approx_check_refuses_kmax_at_the_l1_certificate_first(kmax, capsys, monkeypatch):
     # the L1 LP loses its certificate at degree 9, so any kmax >= 10 exits 3

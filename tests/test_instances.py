@@ -191,8 +191,8 @@ def _value_by_plain_loop(inst, w):
 ])
 def test_fsm_value_equals_plain_loop(etas):
     inst = fsm_instance(etas, L, MU, R, 6)
-    # equal etas share one component; 0.0 and -0.0 stay apart
-    assert len({id(Q) for Q, _ in inst.components}) == len({float(e).hex() for e in etas})
+    # equal etas share one term of `value`; 0.0 and -0.0 stay apart
+    assert len(inst._terms[0]) == len({float(e).hex() for e in etas})
     rng = np.random.default_rng(5)
     for _ in range(25):
         w = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=inst.d)

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lblab.instances import (Block2Diag, DenseSym, QuadraticInstance, fsm_instance,
-                             nesterov_chain, rlm_instance, toy_instance)
+                             nesterov_chain, rlm_instance, stack_rows, toy_instance)
 from lblab.optimizers import (DETERMINISTIC_NAMES, OPTIMIZER_NAMES,
-                              BatchedDualEngine, BatchedEngine,
-                              ExactBatchedEngine, Schedule, _drive,
+                              BatchedDualEngine, BatchedEngine, Schedule, _drive,
                               audit_oblivious, batched_curves,
                               expected_error_curve, make_optimizer, make_rng,
                               run)
-from lblab.oracles import FirstOrder, answer
+from lblab.oracles import FirstOrder, NumericEngine, answer
 from lblab.trace import trace_oblivious
 
 L, MU, R = 100.0, 1.0, 1.0
@@ -393,7 +394,7 @@ def test_grid_batch_rows_equal_single_instance_runs():
 
 
 def _exact_grids():
-    """(label, instance grid) pairs for the exact engine: fsm grids whose
+    """(label, instance grid) pairs for the stacked runs: fsm grids whose
     components have distinct etas (signed zeros, repeats shared by every
     grid point or by some) over several n, d and kappa, toy grids and a
     dense grid."""
@@ -421,7 +422,7 @@ def _exact_grids():
 
 
 def test_exact_grid_rows_equal_run_bit_for_bit():
-    # every row of the exact batch is `run` on its instance, bit for bit,
+    # every row of the stacked run is `run` on its instance, bit for bit,
     # with the same oracle call count, at one seed per grid point or more
     iterations = 60
     for label, grid in _exact_grids():
@@ -429,9 +430,9 @@ def test_exact_grid_rows_equal_run_bit_for_bit():
             inst0 = grid[0]
             sched = make_optimizer(name, L=inst0.L, mu=inst0.mu)
             for seeds in (1, 2):
-                engine = ExactBatchedEngine(grid, seeds, iterations)
+                engine = NumericEngine(stack_rows(grid, seeds))
                 _, curves = _drive(sched, engine, lambda W, q: answer(engine, W, q),
-                                   engine.suboptimality, iterations)
+                                   engine.instance.suboptimality, iterations)
                 assert _same_bits(curves, batched_curves(sched, grid, iterations, seeds))
                 for g, inst in enumerate(grid):
                     ref = run(sched, inst, iterations)
@@ -442,9 +443,38 @@ def test_exact_grid_rows_equal_run_bit_for_bit():
 
 def test_exact_engine_shares_terms_of_bit_identical_components():
     grid = [fsm_instance([0.0, -0.0, 0.0, e, e], L, MU, R, 4) for e in (3.0, -3.0)]
-    assert ExactBatchedEngine(grid, 1, 5)._slot == [0, 1, 0, 3, 3]
+    assert stack_rows(grid, 1)._terms[1] == (0, 1, 0, 2, 2)
     grid.append(fsm_instance([0.0, -0.0, 0.0, 1.0, 2.0], L, MU, R, 4))
-    assert ExactBatchedEngine(grid, 1, 5)._slot == [0, 1, 0, 3, 4]
+    assert stack_rows(grid, 1)._terms[1] == (0, 1, 0, 2, 3)
+
+
+@st.composite
+def _random_grids(draw):
+    """An fsm grid (n 1-6, d 2-6, kappa log-uniform on [1.5, 1e4], 1-4
+    points) whose etas repeat a few values, +-0.0 among them, or a toy grid,
+    which takes the dense stacked form."""
+    kappa = 10.0 ** draw(st.floats(math.log10(1.5), 4.0))
+    Lg, points = kappa * MU, draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return [toy_instance(draw(st.floats(MU, Lg)), MU, Lg) for _ in range(points)]
+    n, d, half = draw(st.integers(1, 6)), draw(st.integers(2, 6)), (Lg - MU) / 2
+    values = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-half, half),
+                           min_size=1, max_size=3))
+    pick = st.lists(st.sampled_from(values), min_size=n, max_size=n)
+    return [fsm_instance(draw(pick), Lg, MU, R, d) for _ in range(points)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_random_grids(), st.integers(1, 2))
+def test_deterministic_grid_rows_equal_run_for_random_parameters(grid, seeds):
+    iterations = 30
+    for name in ("gd", "agd", "hb", "cd_cyclic"):
+        sched = make_optimizer(name, L=grid[0].L, mu=MU)
+        curves = batched_curves(sched, grid, iterations, seeds)
+        for g, inst in enumerate(grid):
+            ref = run(sched, inst, iterations).errors
+            for s in range(seeds):
+                assert _same_bits(curves[g * seeds + s], ref), (name, g, s)
 
 
 def test_batched_curves_refuse_what_the_exact_engine_cannot_run():

@@ -32,6 +32,10 @@ def test_perfbench_traced_pass_is_correct(workload):
         # every scalar run's engine call count against the answers the tracer saw
         assert (metrics["optimizers.run_calls"]["value"]
                 == metrics["oracles.answer_us.numeric.n"]["value"] > 0)
+        # the deterministic grids run as `run` on the numeric engine, so no
+        # answer is booked as symbolic and cd_cyclic's run is timed
+        assert metrics["oracles.answer_us.symbolic.n"]["value"] == 0
+        assert metrics["optimizers.run_s.cd_cyclic"]["value"] > 0
     elif workload == "symbolic":
         # the tracer's wrappers reach the polynomial arithmetic, the trace
         # writer and fig2, and the writer's byte count is the one it had

@@ -100,6 +100,15 @@ def test_unipoly_zero_evaluates_to_zero():
         assert zero(Fraction(3, 2)) == 0 and type(zero(Fraction(3, 2))) is Fraction
 
 
+def test_zero_polynomials_agree_on_the_sign_of_zero():
+    # both classes' zero is +0.0, also at negative points, where x * 0 is -0.0
+    xs = np.array([-1.0, -2.5, 0.0, 3.0])
+    for x, point in ((-1.0, (-1.0,)), (xs, (xs,))):
+        uni, multi = UniPoly()(x), MultiPoly(1)(point)
+        assert np.array_equal(np.signbit(uni), np.signbit(multi))
+        assert not np.signbit(uni).any()
+
+
 def test_indeterminate_count_mismatch():
     with pytest.raises(ValueError):
         MultiPoly(1, {(1,): 1}) + MultiPoly(2, {(1, 0): 1})
