@@ -1,9 +1,11 @@
 """Closed-form lower bounds on polynomial approximation error and the
 iteration-complexity expressions built from them.
 
-Everything here is a pure function of scalars.  The formulas are written in
-cancellation-safe forms (e.g. u - sqrt(u^2-1) as 1/(u + sqrt(u^2-1))) so the
-identity checks hold out to u ~ 1e6.
+Everything here is a pure function of scalars.  u - sqrt(u^2-1) is written
+as 1/(u + sqrt((u-1)(u+1))), c^2 - 1 as (c-1)(c+1), and `maxnorm_lb`'s
+prefactor over a product of sums, so none of them cancels.  One form does:
+`_ratio_from_root` for r near 1, left as it is because a rewrite moves the
+last bits of the pinned envelope columns.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ class ProblemParams:
 
 def _safe_u_minus_root(u: float) -> float:
     # u - sqrt(u^2 - 1) without cancellation for large u
-    return 1.0 / (u + math.sqrt(u * u - 1.0))
+    return 1.0 / (u + math.sqrt((u - 1.0) * (u + 1.0)))
 
 
 def _ratio_from_root(r: float) -> float:
-    # (sqrt(r) - 1)/(sqrt(r) + 1) computed stably for r near 1 and r large
+    # (sqrt(r) - 1)/(sqrt(r) + 1); cancels for r near 1 (see the module docstring)
     s = math.sqrt(r)
     return (s - 1.0) / (s + 1.0)
 
@@ -58,13 +60,13 @@ def chebyshev_lb_inf(c: float, k: int) -> float:
         raise ValueError("c must exceed 1")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _safe_u_minus_root(c) ** k / (c * c - 1.0)
+    return _safe_u_minus_root(c) ** k / ((c - 1.0) * (c + 1.0))
 
 
 def maxnorm_lb(a: float, b: float, c: float, k: int) -> float:
     """Uniform-norm lower bound for approximating 1/(eta + c) on [a, b]:
 
-        2(b-a)/((b+a+2c)^2 - (b-a)^2) * ((sqrt((b+c)/(a+c)) - 1)/(... + 1))**k
+        (b-a)/(2(a+c)(b+c)) * ((sqrt((b+c)/(a+c)) - 1)/(... + 1))**k
     """
     if not (b > a > 0):
         raise ValueError("need b > a > 0")
@@ -72,10 +74,7 @@ def maxnorm_lb(a: float, b: float, c: float, k: int) -> float:
         raise ValueError("need c > -a")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    try:  # (b+a+2c)^2 - (b-a)^2 overflows, or rounds to 0, where b/a is huge
-        pref = 2 * (b - a) / ((b + a + 2 * c) ** 2 - (b - a) ** 2)
-    except (OverflowError, ZeroDivisionError) as e:
-        raise ValueError(f"the maxnorm prefactor is not finite at a={a!r}, b={b!r}") from e
+    pref = ((b - a) / (b + c)) / (2 * (a + c))
     return pref * _ratio_from_root((b + c) / (a + c)) ** k
 
 

@@ -8,12 +8,13 @@ products are written over any entries with arithmetic: floats, per-row
 arrays (a grid that `stack_rows` stacks into one instance, on (rows, d)
 points) and exact polynomials (the symbolic tracer).  They read entry i of
 a point as `w.T[i]`, which is the entry on object arrays too.
+Every batched grid, quadratic or dual, becomes rows in `stack_rows`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -179,17 +180,10 @@ class QuadraticInstance:
 
 
 def _finish(comps, mu, L) -> QuadraticInstance:
-    d = len(comps[0][1])
-    A = np.zeros((d, d))
-    s = np.zeros(d)
-    for Q, q in comps:
-        A += Q.dense()
-        s += q
-    A /= len(comps)
-    s /= len(comps)
+    inst = QuadraticInstance(tuple(comps), mu, L, np.zeros(len(comps[0][1])), 0.0)
+    A, s = inst.mean_matrix(), inst.mean_q()
     w = np.linalg.solve(A, s)
-    opt = 0.5 * float(w @ A @ w) - float(s @ w)
-    return QuadraticInstance(tuple(comps), mu, L, w, opt)
+    return replace(inst, minimizer=w, optimal_value=0.5 * float(w @ A @ w) - float(s @ w))
 
 
 # The component builders below take float parameters (the instance factories)
@@ -235,33 +229,42 @@ def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstan
     inst = _finish(comps, mu, L)
     closed = fsm_minimizer(etas, L, mu, R, d)
     if not np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed)):
-        raise AssertionError("the solved minimizer disagrees with the closed form")
+        raise ValueError("the solved minimizer disagrees with the closed form "
+                         f"at L/mu = {L / mu:g}")
     return inst
 
 
-def stack_rows(instances, seeds: int = 1) -> QuadraticInstance:
-    """One instance whose row g*seeds + s is instances[g].
+def stack_rows(instances, seeds: int = 1):
+    """One instance whose row g*seeds + s is instances[g]: every batched
+    engine reads its rows, entries and per-row optimum from it.
 
-    Components whose structures are all `Block2Diag` with one h, tail and q
-    (the fsm family) keep that form, with a per-row off-diagonal entry `e`;
-    a grid of any other structures becomes `DenseSym` components over a
-    (rows, d, d) stack with a (rows, d) q, whose rows round as `Q @ w`.
-    Block components of unlike h, tail or q are refused: the dense form
-    would multiply them as gemv does, not as `Block2Diag.matvec`.
+    A grid of `RlmInstance`s of one lam and n stacks into one whose psis
+    are (rows, n/2).  Components whose structures are all `Block2Diag` with
+    one h, tail and q (the fsm family) keep that form, with a per-row
+    off-diagonal entry `e`; a grid of any other structures becomes
+    `DenseSym` components over a (rows, d, d) stack with a (rows, d) q,
+    whose rows round as `Q @ w`.  Block components of unlike h, tail or q
+    are refused: the dense form would multiply them as gemv does, not as
+    `Block2Diag.matvec`.
     """
     instances = list(instances)
-    if len({(inst.n, inst.d) for inst in instances}) != 1:
-        raise ValueError("a batch needs one or more instances of one shape")
+    if len({(type(inst), inst.n, inst.d) for inst in instances}) != 1:
+        raise ValueError("a batch needs one or more instances of one kind and shape")
 
     def per_row(per_instance):
         return np.repeat(np.asarray(per_instance), seeds, axis=0)
 
+    first = instances[0]
+    if isinstance(first, RlmInstance):
+        if len({inst.lam for inst in instances}) != 1:
+            raise ValueError("a batch of RlmInstances needs one lam")
+        return RlmInstance(per_row([inst.psis for inst in instances]), first.lam, first.n)
     comps = [inst.components for inst in instances]
     Q0, q0 = comps[0][0]
     if any(isinstance(Q, Block2Diag) for c in comps for Q, _ in c):
         if not all(isinstance(Q, Block2Diag) and (Q.h, Q.tail) == (Q0.h, Q0.tail)
                    and np.array_equal(q, q0) for c in comps for Q, q in c):
-            raise ValueError("an exact batch of Block2Diag components needs one h, tail and q")
+            raise ValueError("a batch of Block2Diag components needs one h, tail and q")
         e = per_row([[Q.e for Q, _ in c] for c in comps]).T.copy()  # (n, rows)
         stacked = [(Block2Diag(Q0.d, Q0.h, ej, Q0.tail), q0) for ej in e]
     else:
@@ -347,11 +350,18 @@ class RlmInstance:
     Q_psi block diagonal with 2x2 blocks (1/n)[[1+1/(lam n), sin psi_j/(lam n)],
     [sin psi_j/(lam n), 1+1/(lam n)]].  Note D itself is (1/n)-strongly convex;
     the associated 1-strong convexity statement applies to n*D.
+
+    From `stack_rows`, psis is (rows, n/2) and `blocks`, `minimizer()`,
+    `optimal_value` and `dual_value` on (rows, n) points work per row.
     """
 
     psis: np.ndarray
     lam: float
     n: int
+
+    @property
+    def d(self) -> int:
+        return self.n  # a dual point has one entry per data vector
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -380,8 +390,7 @@ class RlmInstance:
         return X
 
     def dual_value(self, alpha: np.ndarray) -> float:
-        g = self.q_matvec(alpha)
-        return 0.5 * float(alpha @ g) - float(alpha.sum()) / self.n
+        return 0.5 * row_dots(alpha, self.q_matvec(alpha)) - alpha.sum(axis=-1) / self.n
 
     @staticmethod
     def pair_matvec(diag, off, alpha: np.ndarray) -> np.ndarray:
@@ -430,11 +439,11 @@ def rlm_instance(psis, lam: float, n: int) -> RlmInstance:
 
 
 def rlm_dual_minimizer(psis, lam: float, n: int) -> np.ndarray:
-    """Coordinate pairs 1/((lam n + 1)/(lam n) + sin(psi_j)/(lam n))."""
+    """Coordinate pairs 1/((lam n + 1)/(lam n) + sin(psi_j)/(lam n)), per psi row."""
     psis = np.asarray(psis, dtype=float)
     ln = lam * n
     vals = 1.0 / ((ln + 1) / ln + np.sin(psis) / ln)
-    return np.repeat(vals, 2)
+    return np.repeat(vals, 2, axis=-1)
 
 
 def rlm_separation(lam: float, n: int) -> float:

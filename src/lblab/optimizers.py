@@ -23,14 +23,16 @@ initialization): suboptimality, the x-axis the lower-bound envelopes are
 stated in, or the tracer's degree budget.  It alone checks each schedule
 against its engine: count, oracle family, and L-BFGS on scalar engines.
 
-A deterministic schedule (gd, agd, hb, cd_cyclic) runs its whole grid as
-`run` itself, on the one instance `instances.stack_rows` stacks the grid
-into: the scalar engine and the same closures, so each row equals `run` on
-its instance bit for bit.  The stochastic schedules run on the batched
-engines below, whose rows draw their seeds' own index streams;
-`BatchedEngine` answers the quadratic families with Monte-Carlo kernels, a
-gemm mean gradient and a suboptimality from each grid point's mean matrix,
-whose bits differ from `run`'s in the last places.
+Every batched grid becomes rows in one place, `instances.stack_rows`.  A
+deterministic schedule (gd, agd, hb, cd_cyclic) runs its whole grid as
+`run` itself, on the one instance `stack_rows` stacks the grid into: the
+scalar engine and the same closures, so each row equals `run` on its
+instance bit for bit.  The stochastic schedules run on the batched engines
+below, which read their rows, component entries and per-row optima from
+that same stacked instance, and whose rows draw their seeds' own index
+streams; `BatchedEngine` answers the quadratic families with Monte-Carlo
+kernels, a gemm mean gradient and a suboptimality from each grid point's
+mean matrix, whose bits differ from `run`'s in the last places.
 `expected_error_curve` takes a parameter grid with its instances already
 built, so that the schedules of one command share a single grid build.  It
 runs every oblivious schedule once over the whole grid, averaging a
@@ -384,7 +386,9 @@ def audit_oblivious(schedule: Schedule, instance, iterations: int, seed: int = 0
 class _Batched:
     """The engine protocol over a batch of runs, answered by `oracles.answer`
     as on one run.  The batch holds `seeds` seeds on each of G instances (the
-    points of a parameter grid).  Points are (G*seeds, d) arrays whose row
+    points of a parameter grid), and reads them from the one instance
+    `instances.stack_rows` stacks the grid into: its n, its rows and its
+    per-row optimum `opt`.  Points are (G*seeds, d) arrays whose row
     g*seeds + s is the run `run(..., seed=s)` makes on instance g, and a
     component or coordinate index is a vector with one entry per row.
 
@@ -410,14 +414,11 @@ class _Batched:
     einsum it replaced, so its bits are that einsum's.
     """
 
-    def __init__(self, instances, dim, seeds, iterations, replacement):
-        shapes = {(inst.n, dim(inst)) for inst in instances}
-        if len(shapes) != 1:
-            raise ValueError("a batch needs one or more instances of one shape")
-        ((self.n, self.d),) = shapes
-        self.grid, self.seeds = len(instances), seeds
-        self.opt = np.array([inst.optimal_value for inst in instances])
-        self.rows = np.arange(self.grid * seeds)
+    def __init__(self, stacked, seeds, iterations, replacement):
+        self.n, self.d, self.seeds = stacked.n, stacked.d, seeds
+        self.opt = stacked.optimal_value
+        self.rows = np.arange(len(self.opt))
+        self.grid = len(self.rows) // seeds
         self.log = CallLog()
         self._iterations, self._replacement = iterations, replacement
         self._streams = None
@@ -446,14 +447,6 @@ class _Batched:
         self._next += 1
         return out
 
-    def per_row(self, per_instance):
-        """Row g*seeds + s of the result is per_instance[g]."""
-        return np.repeat(per_instance, self.seeds, axis=0)
-
-    def less_opt(self, values):
-        """Per-row values minus the row's optimal value."""
-        return (values.reshape(self.grid, self.seeds) - self.opt[:, None]).ravel()
-
     def zero(self):
         return np.zeros((len(self.rows), self.d))
 
@@ -477,32 +470,31 @@ class BatchedEngine(_Batched):
     kernels: the mean gradient as one gemm per grid point, and the
     suboptimality from each grid point's mean matrix.
 
-    Every component is one entry per row: in the block form (shared h, tail
-    and q, as in the fsm family) its off-diagonal entry `e`, and otherwise
-    its dense (Q, q), component j of grid point g being entry g*n + j of
-    `Qs` and `qs`.
+    Every component is one entry per row of the stacked instance: in the
+    block form (the fsm family) its off-diagonal entry `e`, and otherwise
+    its dense (Q, q), component j of row r being entry r*n + j of `Qs` and
+    `qs`.
     """
 
     def __init__(self, instances, seeds, iterations, replacement=True):
-        super().__init__(instances, lambda inst: inst.d, seeds, iterations, replacement)
-        Q0, q0 = instances[0].components[0]
-        self.block = all(isinstance(Q, Block2Diag) and (Q.h, Q.tail) == (Q0.h, Q0.tail)
-                         and np.array_equal(q, q0)
-                         for inst in instances for Q, q in inst.components)
+        stacked = stack_rows(instances, seeds)
+        super().__init__(stacked, seeds, iterations, replacement)
+        comps = stacked.components
+        Q0, q0 = comps[0]
+        self.block = isinstance(Q0, Block2Diag)
         if self.block:  # only the off-diagonal entry e differs between components
             # q is tiled to one row per run: subtracting a (d,) vector runs
             # numpy's inner loop once per row
             self.h, self.tail, self.q = Q0.h, Q0.tail, np.tile(q0, (len(self.rows), 1))
-            self.e = self.per_row([[Q.e for Q, _ in inst.components] for inst in instances])
-        else:  # component j of grid point g is entry g*n + j
-            self.Qs = np.stack([Q.dense() for inst in instances for Q, _ in inst.components])
-            self.qs = np.stack([q for inst in instances for _, q in inst.components])
-            self._comp_of_row = self.rows // seeds * self.n
+            self.e = np.stack([Q.e for Q, _ in comps], axis=1)
+        else:
+            self.Qs = np.stack([Q.Q for Q, _ in comps], axis=1).reshape(-1, self.d, self.d)
+            self.qs = np.stack([q for _, q in comps], axis=1).reshape(-1, self.d)
         self.A = np.stack([inst.mean_matrix() for inst in instances])
         self.qbar = np.stack([inst.mean_q() for inst in instances])
         # the (i, j) entries of A nonzero at some grid point, in (i, j) order,
         # with A_ij per row
-        self._quad_terms = [(i, j, self.per_row(self.A[:, i, j]))
+        self._quad_terms = [(i, j, np.repeat(self.A[:, i, j], seeds))
                             for i, j in np.argwhere(self.A.any(axis=0))]
 
     def comp_grad(self, jv, W):
@@ -510,18 +502,18 @@ class BatchedEngine(_Batched):
         if self.block:
             Q = Block2Diag(self.d, self.h, self.e.take(self._row_n + jv), self.tail)
             return Q.matvec(W) - self.q
-        c = self._comp_of_row + jv
+        c = self._row_n + jv
         return DenseSym(self.Qs.take(c, axis=0)).matvec(W) - self.qs.take(c, axis=0)
 
     def diag(self, jv, iv):
         if self.block:
             return np.where(iv < 2, self.h, self.tail)
-        return self.Qs.take((self._comp_of_row + jv) * self.d ** 2 + iv * (self.d + 1))
+        return self.Qs.take((self._row_n + jv) * self.d ** 2 + iv * (self.d + 1))
 
     def grad_entry(self, jv, iv, W):
         if self.block:
             return self.comp_grad(jv, W).take(self._row_d + iv)
-        c = (self._comp_of_row + jv) * self.d + iv
+        c = (self._row_n + jv) * self.d + iv
         return row_dots(self.Qs.reshape(-1, self.d).take(c, axis=0), W) - self.qs.take(c)
 
     def _by_grid(self, W):
@@ -545,27 +537,25 @@ class BatchedEngine(_Batched):
         for i, j, a in self._quad_terms:
             quad += (W[:, i] * a) * W[:, j]
         lin = (self._by_grid(W) @ self.qbar[:, :, None]).ravel()
-        return self.less_opt(0.5 * quad - lin)
+        return 0.5 * quad - lin - self.opt
 
 
 class BatchedDualEngine(PairOracle, _Batched):
     """RlmInstances over a seed batch each; points are dual vectors, and
-    `off` holds one row of pair entries per run."""
+    `off` holds the stacked instance's pair entries, one row per run."""
 
     def __init__(self, instances, seeds, iterations, replacement=True):
-        super().__init__(instances, lambda inst: inst.n, seeds, iterations, replacement)
-        if len({inst.lam for inst in instances}) != 1:
-            raise ValueError("a batch needs instances of one lam")
-        dg = instances[0].blocks[0]  # depends on lam and n only
-        self.blocks = (dg, self.per_row([inst.blocks[1] for inst in instances]))
-        self.lin = 1.0 / self.n
+        stacked = stack_rows(instances, seeds)
+        super().__init__(stacked, seeds, iterations, replacement)
+        diag, off = stacked.blocks
+        self.blocks, self.lin = (diag[0], off), 1.0 / self.n  # diag depends on lam and n only
 
     def _at(self, x, i):
         return x.take(self.rows * x.shape[1] + i)
 
     def suboptimality(self, A):
         G = RlmInstance.pair_matvec(*self.blocks, A)
-        return self.less_opt(0.5 * np.einsum("si,si->s", A, G) - A.sum(axis=1) / self.n)
+        return 0.5 * np.einsum("si,si->s", A, G) - A.sum(axis=1) / self.n - self.opt
 
 
 def batched_curves(schedule: Schedule, instances, iterations: int, seeds: int,

@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import lblab
 from lblab import bounds
@@ -31,6 +34,42 @@ def test_maxnorm_lb_values():
         maxnorm_lb(4, 1, 0, 1)
     with pytest.raises(ValueError):
         maxnorm_lb(1, 4, -2, 1)
+
+
+# Each rewritten prefactor is a chain of correctly rounded operations whose
+# sums do not cancel (a difference of floats within a factor 2 is exact), so
+# its relative error is below (number of roundings + 1) * 2**-53: five for
+# ((b-a)/(b+c))/(2(a+c)), four for 1/((c-1)(c+1)).
+_U = 2.0 ** -53
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_log_uniform(-60, 60), _log_uniform(-12, 15),
+       st.just(0.0) | _log_uniform(-60, 60) | _log_uniform(-20, 20).map(lambda t: -t / (1 + t)))
+def test_maxnorm_prefactor_matches_mpmath(a, spread, c_over_a):
+    # k = 0 leaves `_ratio_from_root`, which still cancels, out of the bound;
+    # c from -a (a + c cancels to any size) to 1e60 a
+    b, c = a * (1 + spread), a * c_over_a
+    assume(b > a and c > -a)
+    with mpmath.workdps(150):  # the difference of squares loses up to 35 digits here
+        A, B, C = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        exact = 2 * (B - A) / ((B + A + 2 * C) ** 2 - (B - A) ** 2)
+        assert abs(maxnorm_lb(a, b, c, 0) - exact) <= 6 * _U * exact
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_log_uniform(-15, 150))
+def test_chebyshev_prefactor_matches_mpmath(excess):
+    c = 1.0 + excess
+    assume(c > 1)
+    with mpmath.workdps(60):
+        C = mpmath.mpf(c)
+        exact = 1 / (C * C - 1)
+        assert abs(chebyshev_lb_inf(c, 0) - exact) <= 5 * _U * exact
 
 
 def test_l1_lb_values():

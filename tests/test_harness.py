@@ -5,6 +5,7 @@ import os
 import threading
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -98,15 +99,17 @@ def test_cli_infinite_kappa_exits_3_with_one_line(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the prefactor's denominator rounds to 0, then overflows
-    (["bounds", "--formula", "maxnorm", "--kappa", "1e16"], "the maxnorm prefactor is not finite"),
-    (["bounds", "--formula", "maxnorm", "--kappa", "1e308"], "the maxnorm prefactor is not finite"),
     # a zero L-BFGS curvature, then nan curves
     (["fig1", "--d", "5", "--iters", "3", "--kappa", "1e110"],
      "fig1's curves overflow float arithmetic"),
     (["fig1", "--d", "5", "--iters", "3", "--kappa", "1e308"],
      "fig1's curves overflow float arithmetic"),
-], ids=["maxnorm-1e16", "maxnorm-1e308", "fig1-1e110", "fig1-1e308"])
+    # the dense mean solve errs by about kappa * eps, past the fsm self-check
+    (["run", "--opt", "gd", "--family", "fsm", "--iters", "5", "--kappa", "1e7"],
+     "the solved minimizer disagrees with the closed form at L/mu = 1e+07"),
+    (["sampling-compare", "--iters", "5", "--kappa", "1e7"],
+     "the solved minimizer disagrees with the closed form at L/mu = 1e+07"),
+], ids=["fig1-1e110", "fig1-1e308", "run-fsm-1e7", "sampling-compare-1e7"])
 def test_cli_huge_finite_kappa_exits_3_with_one_line(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -116,6 +119,20 @@ def test_cli_huge_finite_kappa_exits_3_with_one_line(argv, message, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("config error: " + message)
+
+
+@pytest.mark.parametrize("kappa", ["1e16", "1e308"])
+def test_cli_maxnorm_at_huge_kappa_prints_the_prefactor(kappa, capsys):
+    # the prefactor (b-a)/(2ab) on [mu, L] = [1, kappa] neither cancels nor
+    # overflows; it is within six roundings of the exact value
+    assert cli.main(["bounds", "--formula", "maxnorm", "--kmax", "1", "--kappa", kappa]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = dict(line.split(",") for line in captured.out.splitlines()[2:])
+    with mpmath.workdps(700):  # enough digits to square kappa + 1 exactly
+        b = mpmath.mpf(float(kappa))
+        exact = 2 * (b - 1) / ((b + 1) ** 2 - (b - 1) ** 2)
+        assert abs(float(rows["0"]) - exact) <= 6 * 2.0 ** -53 * exact
 
 
 # the setting flags each `bounds` formula reads; it refuses the others
@@ -485,11 +502,22 @@ def test_approx_check_output_bytes(capsys):
     ("gd", "90a63d211decf33c3ce0f3ffbf1f628ea763d90337c78b8d9c0fc747423d5ed3"),
     ("agd", "a4f06e5c427a5142be069c0c6f116ef837c3c04972b229738ec26f456c5435a9"),
     ("hb", "37a1e6510916582eda91e0874497fcc29ecc74f054b60dcf0c55b52fc42ad0ab"),
+    ("sag", "2b4d403dc0132bb16bd50165233660f4adcd7e89b41e8eaab25a5cf7c16dbc14"),
+    ("svrg", "848b18b537001987e45328ae9a2e3ebf24707deda329045bde3ed952a702592c"),
+    ("cd_random", "debd7a4a3d11ce9316da5c1521c7ba5c53b20205a7bf920b97270d2186633c9a"),
 ])
 def test_run_toy_output_bytes(opt, digest, capsys):
     # the toy grid's components are DenseSym, so its deterministic rows take
-    # the dense stacked form; the pinned fsm runs take the block form
+    # the dense stacked form and its stochastic rows the dense Monte-Carlo
+    # kernels; the pinned fsm runs take the block forms
     assert cli.main(["run", "--opt", opt, "--family", "toy"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_run_sdca_rlm_output_bytes(capsys):
+    # an rlm grid shape (n = 6, 7 seeds) that no perfbench pin covers
+    assert cli.main(["run", "--opt", "sdca", "--family", "rlm", "--n", "6", "--seeds", "7"]) == EXIT_OK
+    digest = "5db8c636a110f2df018d00b895fd87bd1e096791901d55e4d8122bc4d8535fd1"
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -5,11 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lblab.instances import (fsm_instance, fsm_minimizer,
                              fsm_minimizer_separation, nesterov_chain,
                              rlm_dual_minimizer, rlm_instance, rlm_separation,
-                             smooth_instance, toy_instance)
+                             smooth_instance, stack_rows, toy_instance)
 
 L, MU, R = 100.0, 1.0, 1.0
 
@@ -156,6 +158,42 @@ def test_rlm_weak_duality():
         assert -inst.dual_value(a) <= inst.primal_value(w) + 1e-12
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_PSIS = (st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2])
+         | st.floats(-math.pi / 2, math.pi / 2))
+
+
+@st.composite
+def _rlm_grids(draw):
+    """1-4 RlmInstances of one even n (2-64) and one lam (log-uniform on
+    [1e-4, 1e2]), whose psis take +-0.0 and +-pi/2 among other values."""
+    n = 2 * draw(st.integers(1, 32))
+    lam = 10.0 ** draw(st.floats(-4.0, 2.0))
+    psis = st.lists(_PSIS, min_size=n // 2, max_size=n // 2)
+    return [rlm_instance(draw(psis), lam, n) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_rlm_grids(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_stacked_rlm_rows_equal_their_instances(grid, seeds, point_seed):
+    stacked = stack_rows(grid, seeds)
+    rows = len(grid) * seeds
+    assert stacked.psis.shape == (rows, grid[0].n // 2)
+    alpha = np.random.default_rng(point_seed).normal(size=(rows, grid[0].n))
+    minimizer, opt = stacked.minimizer(), stacked.optimal_value
+    values = stacked.dual_value(alpha)
+    for r in range(rows):
+        inst = grid[r // seeds]
+        assert _same_bits(stacked.blocks[:, r], inst.blocks), r
+        assert _same_bits(minimizer[r], inst.minimizer()), r
+        assert _same_bits(opt[r], inst.optimal_value), r
+        assert _same_bits(values[r], inst.dual_value(alpha[r])), r
+
+
 def test_rlm_separation_exact():
     assert rlm_separation(0.01, 100) == pytest.approx(2 * math.sqrt(2) / 3)
     lam, n = 0.01, 100
@@ -210,16 +248,19 @@ def test_value_equals_plain_loop(inst):
 
 def test_self_checks_survive_python_O():
     # the minimizer and separation self-checks are explicit raises, which
-    # `python -O` keeps (it strips bare asserts)
+    # `python -O` keeps (it strips bare asserts); the minimizer check is a
+    # ValueError, so the CLI reports it as a config error
     code = (
         "import numpy as np\n"
         "import lblab.instances as I\n"
         "I.fsm_minimizer = lambda etas, L, mu, R, d: np.ones(d)  # a wrong closed form\n"
-        "for call in (lambda: I.fsm_minimizer_separation(8, 100.0, -1.0),\n"
-        "             lambda: I.fsm_instance(np.full(4, 3.0), 100.0, 1.0, 1.0, 4)):\n"
+        "for call, error in ((lambda: I.fsm_minimizer_separation(8, 100.0, -1.0),\n"
+        "                     AssertionError),\n"
+        "                    (lambda: I.fsm_instance(np.full(4, 3.0), 100.0, 1.0, 1.0, 4),\n"
+        "                     ValueError)):\n"
         "    try:\n"
         "        call()\n"
-        "    except AssertionError:\n"
+        "    except error:\n"
         "        print('raised')\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

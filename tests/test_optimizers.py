@@ -479,26 +479,26 @@ def test_deterministic_grid_rows_equal_run_for_random_parameters(grid, seeds):
 
 def test_batched_curves_refuse_what_the_exact_engine_cannot_run():
     # L-BFGS reads its answers; block components of unlike h would take the
-    # dense kernels, whose rounding is gemv's rather than Block2Diag's
+    # dense kernels, whose rounding is gemv's rather than Block2Diag's, so
+    # `stack_rows` refuses them for the deterministic and the Monte-Carlo
+    # schedules alike
     with pytest.raises(ValueError):
         batched_curves(make_optimizer("lbfgs", L=L, mu=MU), [fsm()], 10, 1)
+    # fsm instances of different L have different diagonal blocks
     unlike = [fsm_instance(np.full(4, 3.0), Lg, MU, R, 4) for Lg in (L, L / 2)]
+    for name in ("gd", "saga"):
+        with pytest.raises(ValueError):
+            batched_curves(make_optimizer(name, L=L, mu=MU), unlike, 10, 1)
     with pytest.raises(ValueError):
-        batched_curves(make_optimizer("gd", L=L, mu=MU), unlike, 10, 1)
-
-
-def test_grid_batch_of_unlike_blocks_takes_dense_path():
-    # fsm instances of different L have different diagonal blocks, so they
-    # do not share the block kernel's h
-    grid = [fsm_instance(np.full(4, 3.0), Lg, MU, R, 4) for Lg in (L, L / 2)]
-    assert not BatchedEngine(grid, 2, 10).block
-    assert BatchedEngine(grid[:1], 2, 10).block
+        BatchedEngine(unlike, 2, 10)
+    assert BatchedEngine(unlike[:1], 2, 10).block
+    # each instance alone takes the block kernels
     sched = make_optimizer("saga", L=L, mu=MU)
-    blocks = batched_curves(sched, grid, 30, 2).reshape(2, 2, -1)
-    for g, inst in enumerate(grid):
+    for inst in unlike:
+        blocks = batched_curves(sched, [inst], 30, 2)
         for s in range(2):
             ref = run(sched, inst, 30, seed=s).errors
-            assert np.allclose(blocks[g, s], ref, rtol=1e-9, atol=1e-15)
+            assert np.allclose(blocks[s], ref, rtol=1e-9, atol=1e-15)
 
 
 def _same_bits(a, b):
@@ -510,7 +510,7 @@ def _einsum_suboptimality(engine, W):
     Wg = W.reshape(engine.grid, engine.seeds, engine.d)
     val = (0.5 * np.einsum("gsi,gij,gsj->gs", Wg, engine.A, Wg)
            - (Wg @ engine.qbar[:, :, None])[..., 0])
-    return engine.less_opt(val)
+    return val.ravel() - engine.opt
 
 
 def test_suboptimality_equals_three_operand_einsum_bit_for_bit():
@@ -628,6 +628,10 @@ def test_batch_rejects_unlike_shapes():
         BatchedEngine([], 2, 10)
     with pytest.raises(ValueError):
         BatchedDualEngine([rlm_instance(np.zeros(2), lam, 4) for lam in (0.1, 0.2)], 2, 10)
+    with pytest.raises(ValueError):
+        BatchedDualEngine([rlm_instance(np.zeros(n // 2), 0.1, n) for n in (4, 6)], 2, 10)
+    with pytest.raises(ValueError):  # n = d = 4 on both, but not one kind of instance
+        BatchedDualEngine([rlm_instance(np.zeros(2), 0.1, 4), fsm(n=4)], 2, 10)
 
 
 def test_unknown_optimizer_rejected():
