@@ -479,22 +479,27 @@ def test_deterministic_grid_rows_equal_run_for_random_parameters(grid, seeds):
 
 def test_batched_curves_refuse_what_the_exact_engine_cannot_run():
     # L-BFGS reads its answers; block components of unlike h would take the
-    # dense kernels, whose rounding is gemv's rather than Block2Diag's, so
-    # `stack_rows` refuses them for the deterministic and the Monte-Carlo
-    # schedules alike
+    # dense kernels, whose rounding is gemv's rather than Block2Diag's
     with pytest.raises(ValueError):
         batched_curves(make_optimizer("lbfgs", L=L, mu=MU), [fsm()], 10, 1)
-    # fsm instances of different L have different diagonal blocks
     unlike = [fsm_instance(np.full(4, 3.0), Lg, MU, R, 4) for Lg in (L, L / 2)]
-    for name in ("gd", "saga"):
-        with pytest.raises(ValueError):
-            batched_curves(make_optimizer(name, L=L, mu=MU), unlike, 10, 1)
     with pytest.raises(ValueError):
-        BatchedEngine(unlike, 2, 10)
-    assert BatchedEngine(unlike[:1], 2, 10).block
-    # each instance alone takes the block kernels
+        batched_curves(make_optimizer("gd", L=L, mu=MU), unlike, 10, 1)
+
+
+def test_grid_batch_of_unlike_blocks_is_refused():
+    # fsm instances of different L have different diagonal blocks, so they
+    # do not share the block kernel's h; `stack_rows` refuses them for the
+    # Monte-Carlo schedules as for the deterministic ones
+    grid = [fsm_instance(np.full(4, 3.0), Lg, MU, R, 4) for Lg in (L, L / 2)]
     sched = make_optimizer("saga", L=L, mu=MU)
-    for inst in unlike:
+    with pytest.raises(ValueError):
+        batched_curves(sched, grid, 10, 1)
+    with pytest.raises(ValueError):
+        BatchedEngine(grid, 2, 10)
+    assert BatchedEngine(grid[:1], 2, 10).block
+    # each instance alone takes the block kernels
+    for inst in grid:
         blocks = batched_curves(sched, [inst], 30, 2)
         for s in range(2):
             ref = run(sched, inst, 30, seed=s).errors
