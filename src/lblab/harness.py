@@ -373,7 +373,7 @@ def cmd_trace(cfg: ExperimentConfig, opt: str, k: int, seed: int = 0):
     sched = _schedule(cfg, opt)
     vec = trace.trace_oblivious(sched, cfg.family, k, seed=seed, n=cfg.n, d=cfg.d,
                                 L=cfg.L, mu=cfg.mu, R=cfg.R, lam=cfg.lam)
-    return EXIT_OK, "".join(polynomials.poly_to_json(e) + "\n" for e in vec.entries)
+    return EXIT_OK, polynomials.polys_to_json_lines(vec.entries)
 
 
 def cmd_sampling_compare(cfg: ExperimentConfig):
@@ -426,11 +426,11 @@ def verify_all(quick=True):
             assert a * (b + c) == a * b + a * c
 
     def cheb_matches_sine():
+        # each U_k once over the grid: each entry has the bits of a scalar call
+        etas = np.linspace(-0.99, 0.99, 50)
         for k in range(13):
-            p = polynomials.chebyshev_U(k)
-            for eta in np.linspace(-0.99, 0.99, 50):
-                ref = math.sin((k + 1) * math.acos(eta)) / math.sqrt(1 - eta * eta)
-                assert abs(float(p(eta)) - ref) <= 1e-10
+            ref = np.sin((k + 1) * np.arccos(etas)) / np.sqrt(1 - etas * etas)
+            assert np.all(np.abs(polynomials.chebyshev_U(k)(etas) - ref) <= 1e-10)
 
     def sgn_orthogonality():
         for k in range(1, 11):

@@ -226,8 +226,13 @@ def fsm_instance(etas, L: float, mu: float, R: float, d: int) -> QuadraticInstan
     half = (L - mu) / 2
     if np.any(np.abs(etas) > half + 1e-12):
         raise ValueError("|eta_i| must not exceed (L - mu)/2")
-    inst = _finish(comps, mu, L)
-    closed = fsm_minimizer(etas, L, mu, R, d)
+    # at a huge L the mean system's sums overflow: refused here, not warned
+    try:
+        with np.errstate(over="raise"):
+            inst = _finish(comps, mu, L)
+            closed = fsm_minimizer(etas, L, mu, R, d)
+    except FloatingPointError:
+        raise ValueError(f"the mean system overflows float arithmetic at L/mu = {L / mu:g}") from None
     if not np.linalg.norm(inst.minimizer - closed) <= 1e-10 * max(1.0, np.linalg.norm(closed)):
         raise ValueError("the solved minimizer disagrees with the closed form "
                          f"at L/mu = {L / mu:g}")

@@ -3,7 +3,12 @@
 `MultiPoly` is the one kernel: a sparse exponent map holding integer
 numerators over one shared denominator, which keeps its arithmetic exact
 under any rational divisor while costing one gcd per result rather than one
-per term.  `UniPoly` is its one-variable case, adding a dense coefficient
+per term.  Each term's exponent tuple is packed into one int key, a
+fixed-width field per variable with variable 0 most significant, so a
+product of terms adds two ints and the keys sort as the tuples do; every
+exponent must stay below EXP_LIMIT = 2**15, and the constructor or a
+product that would reach it raises ValueError rather than wrap into the
+next field.  `UniPoly` is its one-variable case, adding a dense coefficient
 view and Horner evaluation at a scalar.  Exact coefficients keep the degree
 bookkeeping exact: a floating-point representation would manufacture tiny
 spurious terms and break the degree assertions made by the symbolic tracer.
@@ -19,6 +24,7 @@ lower bounds.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -40,20 +46,67 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
+EXP_BITS = 15
+EXP_LIMIT = 1 << EXP_BITS  # every exponent is below this
+
+
+@functools.cache
+def _layout(nvars: int) -> "_Layout":
+    return _Layout(nvars)
+
+
+class _Layout:
+    """The key fields for one indeterminate count, variable 0 most significant.
+
+    A field has EXP_BITS bits for the exponent and at least one spare bit
+    above them, enough that the sum of two exponents does not carry into
+    the next field and that the sum of all nvars exponents stays below
+    2**width - 1.  Since 2**width is 1 mod 2**width - 1, a key's residue
+    mod 2**width - 1 is then its term's total degree.
+    """
+
+    __slots__ = ("width", "shifts", "field", "over")
+
+    def __init__(self, nvars):
+        self.width = EXP_BITS + max(nvars.bit_length(), 1)
+        self.shifts = tuple(self.width * i for i in reversed(range(nvars)))
+        self.field = (1 << self.width) - 1  # also the modulus of the total degree
+        # the lowest spare bit of every field: a sum of two exponents below
+        # EXP_LIMIT is at least EXP_LIMIT exactly when it sets that bit
+        self.over = sum(EXP_LIMIT << s for s in self.shifts)
+
+    def pack(self, exp) -> int:
+        if len(exp) != len(self.shifts) or not all(0 <= e < EXP_LIMIT for e in exp):
+            raise ValueError(f"bad exponent tuple {exp} for {len(self.shifts)} variables: "
+                             f"each exponent lies in [0, {EXP_LIMIT})")
+        key = 0
+        for e in exp:
+            key = key << self.width | e
+        return key
+
+    def unpack(self, key) -> tuple:
+        return tuple([key >> s & self.field for s in self.shifts])
+
+
 class _Terms(Mapping):
     """Read-only view of a MultiPoly's terms: exponent tuple -> Fraction."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_layout")
 
-    def __init__(self, nums, den):
+    def __init__(self, nums, den, layout):
         self._nums = nums
         self._den = den
+        self._layout = layout
 
     def __getitem__(self, exp) -> Fraction:
-        return Fraction(self._nums[exp], self._den)
+        try:
+            key = self._layout.pack(tuple(map(operator.index, exp)))
+        except (TypeError, ValueError):
+            raise KeyError(exp) from None
+        return Fraction(self._nums[key], self._den)
 
     def __iter__(self):
-        return iter(self._nums)
+        return map(self._layout.unpack, self._nums)
 
     def __len__(self):
         return len(self._nums)
@@ -72,38 +125,49 @@ class MultiPoly:
     term.  Zero coefficients are never stored, and the terms keep their
     insertion order.  Total degree is the maximal sum of exponents over
     stored terms.
+
+    Each term is stored under its exponent tuple packed into one int key
+    (see `_Layout`), so a product of terms adds two ints rather than two
+    tuples; `terms` is the exponent-tuple view.  Every exponent is below
+    EXP_LIMIT = 2**15: the constructor and a product that would reach it
+    raise ValueError.  `_cap` bounds the total degree from above (a
+    product's is the sum of its factors'), so a product whose cap is below
+    EXP_LIMIT needs no look at its keys.
     """
 
-    __slots__ = ("nvars", "_nums", "_den")
+    __slots__ = ("nvars", "_nums", "_den", "_cap")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = int(nvars)
+        layout = _layout(self.nvars)
         clean = {}
         for exp, c in (terms or {}).items():
             c = _frac(c)
             if c == 0:
                 continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != self.nvars or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent tuple {exp} for {self.nvars} variables")
-            clean[exp] = clean.get(exp, Fraction(0)) + c
-        clean = {e: c for e, c in clean.items() if c != 0}
+            key = layout.pack(tuple(int(e) for e in exp))
+            clean[key] = clean.get(key, Fraction(0)) + c
+        clean = {k: c for k, c in clean.items() if c != 0}
         # the lcm of reduced denominators leaves the numerators coprime to it
         self._den = math.lcm(*(c.denominator for c in clean.values()))
-        self._nums = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
+        self._nums = {k: c.numerator * (self._den // c.denominator) for k, c in clean.items()}
+        self._cap = max(map(layout.field.__rmod__, self._nums), default=0)
 
     @classmethod
-    def _new(cls, nvars, nums, den) -> "MultiPoly":
-        """Unchecked constructor for arithmetic results: `nums` holds no zero
-        and `den` > 0; the fraction is reduced here."""
+    def _new(cls, nvars, nums, den, cap) -> "MultiPoly":
+        """Unchecked constructor for arithmetic results: `nums` holds no zero,
+        `den` > 0 and `cap` bounds the total degree; the fraction is reduced
+        here.  `nums` may be shared with another polynomial, since no method
+        mutates it after this."""
         g = math.gcd(den, *nums.values())
         if g != 1:
-            nums = {e: n // g for e, n in nums.items()}
+            nums = {k: n // g for k, n in nums.items()}
             den //= g
         p = object.__new__(cls)
         p.nvars = nvars
         p._nums = nums
         p._den = den
+        p._cap = cap
         return p
 
     @classmethod
@@ -118,21 +182,23 @@ class MultiPoly:
 
     @property
     def terms(self) -> Mapping:
-        return _Terms(self._nums, self._den)
+        return _Terms(self._nums, self._den, _layout(self.nvars))
 
     @property
     def total_degree(self):
         if not self._nums:
             return NEG_INF
-        return max(map(sum, self._nums))
+        return max(map(_layout(self.nvars).field.__rmod__, self._nums))
 
     def degree_in(self, i: int):
         if not self._nums:
             return NEG_INF
-        return max(e[i] for e in self._nums)
+        layout = _layout(self.nvars)
+        shift = layout.shifts[i]
+        return max(map((layout.field << shift).__and__, self._nums)) >> shift
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._nums.get((0,) * self.nvars, 0), self._den)
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -158,13 +224,20 @@ class MultiPoly:
         da, db = self._den, other._den
         g = math.gcd(da, db)
         ma, mb = db // g, sign * (da // g)
-        out = dict(self._nums) if ma == 1 else {e: n * ma for e, n in self._nums.items()}
+        out = dict(self._nums) if ma == 1 else {k: n * ma for k, n in self._nums.items()}
         get = out.get
-        for e, n in other._nums.items():
-            out[e] = get(e, 0) + n * mb
+        if mb == 1:
+            for k, n in other._nums.items():
+                out[k] = get(k, 0) + n
+        elif mb == -1:
+            for k, n in other._nums.items():
+                out[k] = get(k, 0) - n
+        else:
+            for k, n in other._nums.items():
+                out[k] = get(k, 0) + n * mb
         if 0 in out.values():
-            out = {e: n for e, n in out.items() if n}
-        return self._new(self.nvars, out, da * ma)
+            out = {k: n for k, n in out.items() if n}
+        return self._new(self.nvars, out, da * ma, max(self._cap, other._cap))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -173,21 +246,37 @@ class MultiPoly:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self._new(self.nvars, {e: -n for e, n in self._nums.items()}, self._den)
+        return self._new(self.nvars, {k: -n for k, n in self._nums.items()}, self._den,
+                         self._cap)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        get = out.get
-        for ea, na in self._nums.items():
-            for eb, nb in other._nums.items():
-                e = tuple(map(operator.add, ea, eb))
-                out[e] = get(e, 0) + na * nb
-        if 0 in out.values():
-            out = {e: n for e, n in out.items() if n}
-        return self._new(self.nvars, out, self._den * other._den)
+        a, b = self._nums, other._nums
+        if len(a) == 1 or len(b) == 1:
+            # a one-term factor adds one key to the other's keys, so no two
+            # collide and no product is zero; the terms come in the order
+            # the double loop below would give them
+            (k1, n1), = (a if len(a) == 1 else b).items()
+            many = b if len(a) == 1 else a
+            if n1 == 1:
+                out = {k + k1: n for k, n in many.items()}
+            else:
+                out = {k + k1: n * n1 for k, n in many.items()}
+        else:
+            out = {}
+            get = out.get
+            for ka, na in a.items():
+                for kb, nb in b.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + na * nb
+            if 0 in out.values():
+                out = {k: n for k, n in out.items() if n}
+        cap = self._cap + other._cap
+        if cap >= EXP_LIMIT and any(map(_layout(self.nvars).over.__and__, out)):
+            raise ValueError(f"a product has an exponent of at least {EXP_LIMIT}")
+        return self._new(self.nvars, out, self._den * other._den, cap)
 
     __rmul__ = __mul__
 
@@ -195,9 +284,9 @@ class MultiPoly:
         r = _frac(r)
         num = r.numerator
         if not num:
-            return self._new(self.nvars, {}, 1)
-        return self._new(self.nvars, {e: n * num for e, n in self._nums.items()},
-                         self._den * r.denominator)
+            return self._new(self.nvars, {}, 1, 0)
+        nums = self._nums if num == 1 else {k: n * num for k, n in self._nums.items()}
+        return self._new(self.nvars, nums, self._den * r.denominator, self._cap)
 
     def __truediv__(self, r):
         # exact: scale by the rational reciprocal
@@ -212,12 +301,13 @@ class MultiPoly:
         # each entry has the bits of the call at that entry.  Other points
         # take Fractions.
         nums, den = self._nums, self._den
+        unpack = _layout(self.nvars).unpack
         arrays = [x for x in point if isinstance(x, np.ndarray)]
         exact = not all(isinstance(x, (float, np.ndarray)) for x in point)
         acc = None
-        for e, n in nums.items():
+        for k, n in nums.items():
             t = Fraction(n, den) if exact else n / den
-            for x, p in zip(point, e):
+            for x, p in zip(point, unpack(k)):
                 for _ in range(p):
                     t = t * x
             acc = t if acc is None else acc + t
@@ -247,9 +337,10 @@ class UniPoly(MultiPoly):
     degree = MultiPoly.total_degree
 
     def _dense(self) -> list:
-        """Numerators of eta**0 .. eta**degree over the shared denominator."""
+        """Numerators of eta**0 .. eta**degree over the shared denominator;
+        with one variable a term's key is its exponent."""
         get = self._nums.get
-        return [get((i,), 0) for i in range(self.degree + 1)] if self._nums else []
+        return [get(i, 0) for i in range(self.degree + 1)] if self._nums else []
 
     @property
     def coeffs(self) -> tuple:
@@ -375,15 +466,17 @@ def poly_to_json(p) -> str:
     Each coefficient is in lowest terms, as a Fraction prints.  Over a
     power-of-two denominator the gcd is 2**min(trailing zeros of n,
     log2 den), so one shift reduces a term; other denominators take
-    `math.gcd`.  Each distinct reduced denominator is printed once.
+    `math.gcd`.  Each distinct reduced denominator is printed once.  The
+    keys' integer order is the exponent tuples' order.
     """
     nums, den = p._nums, p._den
+    unpack = _layout(p.nvars).unpack
     dyadic = den & (den - 1) == 0
     log2 = den.bit_length() - 1
     den_text = {}
     terms = []
-    for e in sorted(nums):
-        n = nums[e]
+    for k in sorted(nums):
+        n = nums[k]
         if dyadic:
             s = min((n & -n).bit_length() - 1, log2)
             n, d = n >> s, den >> s
@@ -393,8 +486,25 @@ def poly_to_json(p) -> str:
         d_text = den_text.get(d)
         if d_text is None:
             d_text = den_text[d] = str(d)
-        terms.append(f'{{"exp": [{", ".join(map(str, e))}], "num": "{n}", "den": "{d_text}"}}')
+        exp = ", ".join(map(str, unpack(k)))
+        terms.append(f'{{"exp": [{exp}], "num": "{n}", "den": "{d_text}"}}')
     return f'{{"vars": {p.nvars}, "terms": [{", ".join(terms)}]}}'
+
+
+def polys_to_json_lines(polys) -> str:
+    """`poly_to_json` of each polynomial, one per line, in order.  Each
+    distinct polynomial is serialized once and its line repeated."""
+    done = []  # (polynomial, line)
+    lines = []
+    for p in polys:
+        for q, line in done:
+            if q == p:
+                break
+        else:
+            line = poly_to_json(p) + "\n"
+            done.append((p, line))
+        lines.append(line)
+    return "".join(lines)
 
 
 def poly_from_json(s: str) -> MultiPoly:

@@ -9,12 +9,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from lblab import bestapprox, cli, harness, instances, optimizers
+from lblab import bestapprox, cli, harness, instances, optimizers, trace
 from lblab.harness import (EXIT_CONFIG, EXIT_OK, ConfigError, cmd_envelope,
                            cmd_fig1, cmd_sampling_compare, cmd_trace,
                            load_config, log_slope_fit, verify_all,
                            verify_report, worker_count, write_csv, write_svg)
-from lblab.polynomials import poly_from_json
+from lblab.polynomials import poly_from_json, poly_to_json
 
 
 def small_cfg(**kw):
@@ -109,7 +109,15 @@ def test_cli_infinite_kappa_exits_3_with_one_line(argv, capsys):
      "the solved minimizer disagrees with the closed form at L/mu = 1e+07"),
     (["sampling-compare", "--iters", "5", "--kappa", "1e7"],
      "the solved minimizer disagrees with the closed form at L/mu = 1e+07"),
-], ids=["fig1-1e110", "fig1-1e308", "run-fsm-1e7", "sampling-compare-1e7"])
+    # the fsm mean system's sums overflow
+    (["run", "--opt", "gd", "--family", "fsm", "--iters", "5", "--kappa", "1e308"],
+     "the mean system overflows float arithmetic at L/mu = 1e+308"),
+    (["envelope", "--family", "fsm", "--iters", "5", "--kappa", "1e308"],
+     "the mean system overflows float arithmetic at L/mu = 1e+308"),
+    (["sampling-compare", "--iters", "5", "--kappa", "1e308"],
+     "the mean system overflows float arithmetic at L/mu = 1e+308"),
+], ids=["fig1-1e110", "fig1-1e308", "run-fsm-1e7", "sampling-compare-1e7", "run-fsm-1e308",
+        "envelope-fsm-1e308", "sampling-compare-1e308"])
 def test_cli_huge_finite_kappa_exits_3_with_one_line(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -292,6 +300,25 @@ def test_cmd_trace_emits_parseable_json():
     for line in text.strip().splitlines():
         doc = json.loads(line)
         assert set(doc) == {"vars", "terms"}
+
+
+@pytest.mark.parametrize("opt, family, n, k, distinct, repeated_pct", [
+    ("sag", "fsm", 8, 18, 2, 50.0),
+    ("svrg", "fsm", 4, 14, 2, 50.0),
+    # nearly every coordinate differs here, so next to nothing is repeated
+    ("sdca", "rlm", 8, 24, 7, 5.9),
+])
+def test_trace_writes_each_distinct_coordinate_once(opt, family, n, k, distinct, repeated_pct):
+    cfg = load_config(None, family=family, n=n)
+    vec = trace.trace_oblivious(harness._schedule(cfg, opt), family, k, n=n, d=cfg.d,
+                                L=cfg.L, mu=cfg.mu, R=cfg.R, lam=cfg.lam)
+    per_entry = [poly_to_json(e) + "\n" for e in vec]
+    code, text = cmd_trace(cfg, opt, k)
+    assert code == EXIT_OK
+    assert text == "".join(per_entry)
+    assert len(set(per_entry)) == distinct
+    repeated = len(text) - sum(map(len, set(per_entry)))
+    assert round(100 * repeated / len(text), 1) == repeated_pct
 
 
 def test_cmd_sampling_compare_smoke():

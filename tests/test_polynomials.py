@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lblab.polynomials import (NEG_INF, MultiPoly, PolyVector, UniPoly, chebyshev_U,
-                               poly_from_json, poly_to_json, sgn_chebyshev_moment)
+from lblab.polynomials import (EXP_LIMIT, NEG_INF, MultiPoly, PolyVector, UniPoly,
+                               chebyshev_U, poly_from_json, poly_to_json, polys_to_json_lines,
+                               sgn_chebyshev_moment)
 
 
 raw_terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2),
@@ -229,19 +230,77 @@ def _same_value(got, ref):
     assert float(got).hex() == float(ref).hex()
 
 
-@settings(max_examples=80, deadline=None)
-@given(raw_terms, raw_terms, st.fractions(min_value=-4, max_value=4, max_denominator=9))
-def test_arithmetic_matches_fraction_dict_reference(ta, tb, r):
-    a, b = MultiPoly(2, ta), MultiPoly(2, tb)
+# exponents at both ends of a packed key field: a sum of two of them may
+# stay below EXP_LIMIT (EXP_LIMIT // 2 - 1 + EXP_LIMIT // 2) or reach it
+field_exponents = st.sampled_from([0, 1, 2, 3, EXP_LIMIT // 2 - 1, EXP_LIMIT // 2, EXP_LIMIT - 1])
+
+
+def _raw_terms_in(nvars):
+    return st.dictionaries(st.tuples(*[field_exponents] * nvars),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                           max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3, 8]).flatmap(
+           lambda nv: st.tuples(st.just(nv), _raw_terms_in(nv), _raw_terms_in(nv))),
+       st.fractions(min_value=-4, max_value=4, max_denominator=9))
+def test_arithmetic_matches_fraction_dict_reference(nv_ta_tb, r):
+    nvars, ta, tb = nv_ta_tb
+    a, b = MultiPoly(nvars, ta), MultiPoly(nvars, tb)
     ra = {e: c for e, c in ta.items() if c}
     rb = {e: c for e, c in tb.items() if c}
     # list equality also pins the term order, which evaluation sums in
     assert list(a.terms.items()) == list(ra.items())
     assert list((a + b).terms.items()) == list(_ref_add(ra, rb).items())
     assert list((a - b).terms.items()) == list(_ref_add(ra, rb, -1).items())
-    assert list((a * b).terms.items()) == list(_ref_mul(ra, rb).items())
+    product = _ref_mul(ra, rb)
+    if any(x >= EXP_LIMIT for e in product for x in e):
+        with pytest.raises(ValueError):
+            a * b
+    else:
+        assert list((a * b).terms.items()) == list(product.items())
+        assert (a * b).total_degree == max(map(sum, product), default=NEG_INF)
+    for i in range(nvars):
+        assert a.degree_in(i) == max((e[i] for e in ra), default=NEG_INF)
     assert list(a.scale(r).terms.items()) == [(e, c * r) for e, c in ra.items() if c * r]
     assert list((-a).terms.items()) == [(e, -c) for e, c in ra.items()]
+    assert a.total_degree == max(map(sum, ra), default=NEG_INF)
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 8])
+def test_constructor_refuses_an_exponent_at_the_limit(nvars):
+    below = (0,) * (nvars - 1) + (EXP_LIMIT - 1,)
+    assert list(MultiPoly(nvars, {below: 1}).terms) == [below]
+    for i in range(nvars):
+        at = tuple(EXP_LIMIT if j == i else 0 for j in range(nvars))
+        with pytest.raises(ValueError):
+            MultiPoly(nvars, {at: 1})
+        # the terms view holds no such exponent rather than a wrapped one
+        assert MultiPoly(nvars, {below: 1}).terms.get(at) is None
+
+
+@pytest.mark.parametrize("nvars, i", [(1, 0), (3, 0), (3, 1), (8, 7)])
+def test_product_refuses_an_exponent_at_the_limit(nvars, i):
+    def power(e, c=1, var=i):
+        return MultiPoly(nvars, {tuple(e if j == var else 0 for j in range(nvars)): c})
+
+    p = MultiPoly.var(nvars, i)
+    while p.total_degree < EXP_LIMIT // 2:
+        p = p * p
+    assert p == power(EXP_LIMIT // 2)
+    # the square reaches the limit, through the one-term product and the general one
+    with pytest.raises(ValueError):
+        p * p
+    with pytest.raises(ValueError):
+        (p + 1) * (p - 1)
+    # just below the limit, and at a total degree of the limit spread over two
+    # variables, products still run
+    assert p * power(EXP_LIMIT // 2 - 1, 2) == power(EXP_LIMIT - 1, 2)
+    if nvars > 1:
+        q = p * power(EXP_LIMIT // 2, var=(i + 1) % nvars)
+        assert q.total_degree == EXP_LIMIT
+        assert list(q.terms.values()) == [1]
 
 
 def test_canonical_form_across_routes():
@@ -315,13 +374,9 @@ def test_public_constructor_keeps_its_checks():
 
 def _dumps_writer(p) -> str:
     # the writer before the text one: a dict per term through json.dumps,
-    # each term reduced by math.gcd
-    nums, den = p._nums, p._den
-    terms = []
-    for e in sorted(nums):
-        n = nums[e]
-        g = math.gcd(n, den)
-        terms.append({"exp": list(e), "num": str(n // g), "den": str(den // g)})
+    # each term in lowest terms, as the terms view's Fractions are
+    terms = [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+             for e, c in sorted(p.terms.items())]
     return json.dumps({"vars": p.nvars, "terms": terms})
 
 
@@ -351,6 +406,25 @@ def test_text_writer_equals_json_dumps_writer(ta, b, shifts, powers):
 @pytest.mark.parametrize("nvars", [0, 1, 2, 8])
 def test_text_writer_on_the_empty_polynomial(nvars):
     _writes_like_json_dumps(MultiPoly(nvars, {}))
+
+
+def test_distinct_line_writer_equals_the_per_entry_join():
+    x, y = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
+    p = x * x / 3 - y + Fraction(1, 5)
+    zero = MultiPoly(2, {})
+    vectors = [
+        [],
+        [zero, zero],
+        [p, p, zero, zero],
+        # equal entries built apart, and one that differs from p in one coefficient
+        [zero, p, (p + x) - x, p * 1, p + y * 0, p + Fraction(1, 2 ** 80)],
+        # all distinct
+        [x, y, p, -p, p / 7, zero],
+        [p, x, p, y, x, zero, p],
+    ]
+    for polys in vectors:
+        assert polys_to_json_lines(polys) == "".join(poly_to_json(q) + "\n" for q in polys)
+        assert polys_to_json_lines(PolyVector(polys)) == polys_to_json_lines(polys)
 
 
 def _same_bits_as_scalar_calls(call, array_point, points):
